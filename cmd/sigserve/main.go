@@ -51,19 +51,17 @@
 //	                       traces (capture once, replay for every model;
 //	                       0 = 256 MB default, negative disables replay and
 //	                       re-interprets every request)
-//	-trace-dir DIR         back the trace cache with a capture directory
-//	                       (SIGCAP02; legacy SIGCAP01 files stay readable):
-//	                       new captures persist there, evicted captures
-//	                       demote to disk, and cache misses reload from it —
-//	                       shards sharing DIR (or a restarted daemon) start
-//	                       warm instead of re-interpreting. SIGCAP02 reloads
-//	                       are mapped read-only and streamed frame by frame,
-//	                       so a warm start costs the footer index rather
-//	                       than a full decode and co-located shards share
-//	                       the capture pages through the OS page cache
-//	-trace-mmap            map SIGCAP02 captures instead of decoding them
-//	                       (default true; =false always eagerly decodes,
-//	                       e.g. when DIR is on a network filesystem)
+//	-trace-dir DIR         back the trace cache with a directory of SIGCAP02
+//	                       capture files: new captures persist there,
+//	                       evicted captures demote to disk, and cache misses
+//	                       reload from it — shards sharing DIR (or a
+//	                       restarted daemon) start warm instead of
+//	                       re-interpreting. Reloads are mapped read-only and
+//	                       streamed frame by frame, so a warm start costs
+//	                       the footer index rather than a full decode and
+//	                       co-located shards share the capture pages through
+//	                       the OS page cache; a file that fails to load or
+//	                       replay is replaced by a fresh capture
 //	-pprof                 mount net/http/pprof under /debug/pprof/
 //
 // Resilience flags:
@@ -114,8 +112,6 @@ func main() {
 		"captured-trace LRU budget in MB (0 = 256 MB default, <0 disables capture/replay)")
 	traceDir := flag.String("trace-dir", "",
 		"directory for persisted SIGCAP02 captures (spill on evict, reload on miss; empty = in-memory only)")
-	traceMmap := flag.Bool("trace-mmap", true,
-		"map SIGCAP02 captures from -trace-dir read-only and stream them (false = always decode eagerly)")
 	programMaxSourceKB := flag.Int("program-max-source-kb", 0,
 		"untrusted-program intake: max submitted source size in KiB (0 = 256 KiB default)")
 	programMaxInsts := flag.Uint64("program-max-insts", 0,
@@ -177,7 +173,6 @@ func main() {
 		BreakerThreshold: *breakerThreshold,
 		TraceCacheMB:     *traceCacheMB,
 		TraceDir:         *traceDir,
-		TraceNoMmap:      !*traceMmap,
 		Faults:           faults,
 		Programs:         programs,
 		InstallToken:     *programInstallToken,

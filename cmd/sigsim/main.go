@@ -11,7 +11,6 @@
 //	sigsim -bench all -parallel 4     # full-suite evaluation, 4 workers
 //	sigsim -bench all -replay=false   # re-interpret per model (reference path)
 //	sigsim -bench crc32 -capture-dir ./caps   # persist/reuse SIGCAP02 captures (mapped + streamed)
-//	sigsim -bench crc32 -capture-dir ./caps -mmap=false   # eager decode instead of streaming
 package main
 
 import (
@@ -41,9 +40,7 @@ func main() {
 	replay := flag.Bool("replay", true,
 		"for -bench all: interpret each benchmark once and replay the captured trace per model (false = re-interpret, the reference path)")
 	captureDir := flag.String("capture-dir", "",
-		"capture directory (SIGCAP02; legacy SIGCAP01 files stay readable): replay a single -bench from its persisted capture, interpreting and persisting it on first use")
-	useMmap := flag.Bool("mmap", true,
-		"with -capture-dir: map SIGCAP02 captures read-only and stream frames instead of decoding the whole trace up front (false = always eager decode)")
+		"directory of SIGCAP02 captures: replay a single -bench from its persisted capture (mapped and streamed), interpreting and persisting it on first use")
 	fetchSweep := flag.Bool("fetchsweep", false,
 		"sweep fetch bandwidth (bytes/cycle) over the suite through the byte-fetch frontends and print the CPI table")
 	list := flag.Bool("list", false, "list benchmarks and models")
@@ -104,8 +101,7 @@ func main() {
 
 	// With -capture-dir the job replays a persisted capture over column
 	// blocks (interpreting and persisting it on first use); otherwise it
-	// interprets live. Both paths are bit-identical, and so are the
-	// streaming (mapped SIGCAP02) and eager replay tiers.
+	// interprets live. Both paths are bit-identical.
 	var (
 		cp     trace.Replayer
 		runMem *mem.Memory
@@ -117,7 +113,7 @@ func main() {
 	}
 	runMem = c.Mem
 	if *captureDir != "" {
-		cp, err = loadOrCapture(*captureDir, b, *useMmap)
+		cp, err = loadOrCapture(*captureDir, b)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
 			os.Exit(1)
@@ -249,26 +245,14 @@ func main() {
 }
 
 // loadOrCapture resolves b's capture through dir: a valid persisted
-// capture file is reused, anything else (missing, corrupt, wrong suite
-// build) falls back to interpreting, and a fresh capture is persisted for
-// next time. With useMmap a SIGCAP02 file is mapped and streamed — replay
-// memory stays at one frame, not the whole decoded trace; legacy SIGCAP01
-// files (and useMmap=false) take the eager decode.
-func loadOrCapture(dir string, b bench.Benchmark, useMmap bool) (trace.Replayer, error) {
-	path := trace.CaptureFilePath(dir, b.Name)
-	if useMmap {
-		if mc, err := trace.OpenMappedCapture(path); err == nil {
-			if got := mc.Bench(); got.Name == b.Name && got.Checksum == b.Checksum {
-				fmt.Fprintf(os.Stderr, "sigsim: streaming mapped capture %s\n", path)
-				return mc, nil
-			}
-			mc.Close()
-		}
-	}
-	if cp, err := trace.ReadCaptureFile(path); err == nil &&
-		cp.Bench().Name == b.Name && cp.Bench().Checksum == b.Checksum {
-		fmt.Fprintf(os.Stderr, "sigsim: replaying persisted capture %s\n", path)
-		return cp, nil
+// capture file is mapped and streamed — replay memory stays at one frame,
+// not the whole decoded trace — and anything else (missing, corrupt, wrong
+// suite build) falls back to interpreting, with the fresh capture persisted
+// (replacing any unusable file) for next time.
+func loadOrCapture(dir string, b bench.Benchmark) (trace.Replayer, error) {
+	if mc, err := trace.OpenCaptureFor(dir, b); err == nil {
+		fmt.Fprintf(os.Stderr, "sigsim: streaming mapped capture %s\n", trace.CaptureFilePath(dir, b.Name))
+		return mc, nil
 	}
 	cp, err := trace.CaptureRun(context.Background(), b)
 	if err != nil {

@@ -1,22 +1,22 @@
 // Command sigtrace records benchmark execution traces to disk and replays
 // them through pipeline models and activity collectors — the classic
 // trace-driven-simulation workflow (record once, study many times).
+// Traces are SIGCAP02 capture files, the same format sigserve and sigsim
+// keep in their capture directories; replay streams them frame by frame
+// from a read-only mapping.
 //
 // Usage:
 //
-//	sigtrace -record -bench rawcaudio -o rawcaudio.trc
-//	sigtrace -replay rawcaudio.trc -model byteserial
-//	sigtrace -replay rawcaudio.trc            # all models + activity
-//	sigtrace -replay caps/crc32.sigcap        # persisted captures replay too:
-//	                                          # SIGCAP02 streams from a mapping,
-//	                                          # SIGCAP01 decodes eagerly
+//	sigtrace -record -bench rawcaudio -o rawcaudio.sigcap
+//	sigtrace -replay rawcaudio.sigcap -model byteserial
+//	sigtrace -replay rawcaudio.sigcap         # all models + activity
+//	sigtrace -replay caps/crc32.sigcap        # any capture-dir file replays too
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 
@@ -31,7 +31,7 @@ import (
 func main() {
 	record := flag.Bool("record", false, "record a benchmark trace")
 	benchName := flag.String("bench", "", "benchmark to record")
-	out := flag.String("o", "trace.trc", "output file for -record")
+	out := flag.String("o", "trace"+trace.CapFileExt, "output file for -record")
 	replay := flag.String("replay", "", "trace file to replay")
 	modelName := flag.String("model", "", "pipeline model for replay (default: all)")
 	flag.Parse()
@@ -58,7 +58,7 @@ func doRecord(name, out string) error {
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q (have: %v)", name, bench.Names())
 	}
-	rc, _, err := trace.SuiteRecoder(bench.All())
+	cp, err := trace.CaptureRun(context.Background(), b)
 	if err != nil {
 		return err
 	}
@@ -66,18 +66,14 @@ func doRecord(name, out string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
+	if _, err := cp.WriteTo2(f); err != nil {
+		f.Close()
 		return err
 	}
-	if _, err := trace.Run(b, rc, w); err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", w.Count(), b.Name, out)
+	fmt.Printf("recorded %d instructions of %s to %s\n", cp.Len(), b.Name, out)
 	return nil
 }
 
@@ -100,20 +96,24 @@ func doReplay(path, modelName string) error {
 	patterns := activity.NewPatternStats()
 	consumers = append(consumers, patterns)
 
-	// Interrupt aborts the replay between records instead of leaving the
+	// Interrupt aborts the replay between frames instead of leaving the
 	// process to grind through the rest of a long trace.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Dispatch on the file's magic: SIGCAP02 captures stream frame by frame
-	// out of a read-only mapping (replay memory stays at one frame),
-	// SIGCAP01 captures decode eagerly, and anything else is a SIGTRC01
-	// event trace for the scalar reader.
-	n, how, err := replayFile(ctx, path, rc, consumers)
+	mc, err := trace.OpenMappedCapture(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d instructions from %s (%s)\n\n", n, path, how)
+	defer mc.Close()
+	img, err := mc.NewMemory()
+	if err != nil {
+		return err
+	}
+	if err := mc.ReplayBlocksOn(ctx, img, rc, consumers...); err != nil {
+		return err
+	}
+	fmt.Printf("replayed %d instructions of %s from %s\n\n", mc.Len(), mc.Bench().Name, path)
 	t := stats.NewTable("CPI (replayed)", "model", "CPI")
 	for _, m := range models {
 		t.AddStringRow(m.Name(), fmt.Sprintf("%.3f", m.Result().CPI()))
@@ -121,59 +121,4 @@ func doReplay(path, modelName string) error {
 	fmt.Println(t.String())
 	fmt.Printf("operand 2-bit coverage: %.1f%%\n", patterns.TwoBitCoverage())
 	return nil
-}
-
-// replayFile feeds path's trace into consumers, picking the engine by the
-// file's leading magic, and returns the instruction count plus a short
-// description of the path taken.
-func replayFile(ctx context.Context, path string, rc *icomp.Recoder, consumers []trace.Consumer) (uint64, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, "", err
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err == nil {
-		switch string(magic[:]) {
-		case "SIGCAP02":
-			mc, err := trace.OpenMappedCapture(path)
-			if err != nil {
-				return 0, "", err
-			}
-			defer mc.Close()
-			m, err := mc.NewMemory()
-			if err != nil {
-				return 0, "", err
-			}
-			if err := mc.ReplayBlocksOn(ctx, m, rc, consumers...); err != nil {
-				return 0, "", err
-			}
-			return uint64(mc.Len()), "SIGCAP02, streamed from mapping", nil
-		case "SIGCAP01":
-			cp, err := trace.ReadCaptureFile(path)
-			if err != nil {
-				return 0, "", err
-			}
-			m, err := cp.NewMemory()
-			if err != nil {
-				return 0, "", err
-			}
-			if err := cp.ReplayBlocksOn(ctx, m, rc, consumers...); err != nil {
-				return 0, "", err
-			}
-			return uint64(cp.Len()), "SIGCAP01, eager decode", nil
-		}
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, "", err
-	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return 0, "", err
-	}
-	n, err := r.ReplayCtx(ctx, rc, consumers...)
-	if err != nil {
-		return 0, "", err
-	}
-	return n, "SIGTRC01 event trace", nil
 }

@@ -9,9 +9,9 @@
 // two paths to bit-identical Counts.
 //
 // Collectors read cache-line contents from the program memory image at fill
-// time, so they must be replayed with ReplayBlocksOn/BatchReplay over the
-// benchmark's initial image: the engine's store-delimited spans guarantee a
-// row's fill never observes a later row's store.
+// time, so they must be replayed with ReplayBlocksOn over the benchmark's
+// initial image: the engine's store-delimited spans guarantee a row's fill
+// never observes a later row's store.
 package activity
 
 import (

@@ -41,7 +41,7 @@ func TestCollectorBatchIdentical(t *testing.T) {
 				t.Fatalf("memory: %v", err)
 			}
 			scalar := NewCollectorScheme(cfg.g, cfg.scheme, rc, memS)
-			if err := cp.ReplayOn(ctx, memS, rc, scalar); err != nil {
+			if err := cp.ReplayBlocksOn(ctx, memS, rc, trace.ConsumerFunc(scalar.Consume)); err != nil {
 				t.Fatalf("%s/%s scalar replay: %v", bn, cfg.label, err)
 			}
 			memB, err := cp.NewMemory()

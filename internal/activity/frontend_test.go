@@ -158,7 +158,7 @@ func TestFrontendStatsBatchIdentical(t *testing.T) {
 			t.Fatalf("capture %s: %v", bn, err)
 		}
 		scalar, batch := NewFrontendStats(), NewFrontendStats()
-		if err := cp.ReplayOn(ctx, nil, rc, scalar); err != nil {
+		if err := cp.ReplayBlocks(ctx, rc, trace.ConsumerFunc(scalar.Consume)); err != nil {
 			t.Fatalf("%s scalar replay: %v", bn, err)
 		}
 		if err := cp.ReplayBlocks(ctx, rc, batch); err != nil {

@@ -56,7 +56,7 @@ func TestConsumeBlockMatchesConsume(t *testing.T) {
 		cp := captureBench(t, bn)
 		for label, ctor := range ctors {
 			scalar, batch := ctor(), ctor()
-			if err := cp.ReplayOn(ctx, nil, rc, scalar); err != nil {
+			if err := cp.ReplayBlocks(ctx, rc, trace.ConsumerFunc(scalar.Consume)); err != nil {
 				t.Fatalf("%s/%s scalar replay: %v", bn, label, err)
 			}
 			if err := cp.ReplayBlocks(ctx, rc, batch); err != nil {
@@ -84,7 +84,7 @@ func TestConsumeBlockSplitBlocks(t *testing.T) {
 	cp := captureBench(t, "dijkstra")
 
 	scalar := NewByteSerial()
-	if err := cp.ReplayOn(ctx, nil, rc, scalar); err != nil {
+	if err := cp.ReplayBlocks(ctx, rc, trace.ConsumerFunc(scalar.Consume)); err != nil {
 		t.Fatalf("scalar replay: %v", err)
 	}
 

@@ -34,7 +34,7 @@ func BenchmarkModelReplay(b *testing.B) {
 					if path == "batch" {
 						err = cp.ReplayBlocks(ctx, rc, m)
 					} else {
-						err = cp.ReplayOn(ctx, nil, rc, m)
+						err = cp.ReplayBlocks(ctx, rc, trace.ConsumerFunc(m.Consume))
 					}
 					if err != nil {
 						b.Fatal(err)

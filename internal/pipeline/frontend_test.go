@@ -63,7 +63,7 @@ func TestByteFetchLiveReplayBatchIdentical(t *testing.T) {
 		if err := trace.RunOn(c, b, testRecoder, live); err != nil {
 			t.Fatalf("%s live: %v", name, err)
 		}
-		if err := cp.ReplayOn(ctx, nil, testRecoder, scalar); err != nil {
+		if err := cp.ReplayBlocks(ctx, testRecoder, trace.ConsumerFunc(scalar.Consume)); err != nil {
 			t.Fatalf("%s scalar replay: %v", name, err)
 		}
 		if err := cp.ReplayBlocks(ctx, testRecoder, batch); err != nil {

@@ -82,25 +82,19 @@ type Config struct {
 	// every request re-interprets (the reference path, bit-identical by
 	// construction and by test).
 	TraceCacheMB int
-	// TraceDir, when set, backs the trace cache with a capture directory
-	// (SIGCAP02 files; pre-migration SIGCAP01 spills stay readable): newly
-	// captured traces are persisted there, evicted captures are demoted to
-	// disk if not already present, and cache misses try the directory
-	// before re-interpreting — so restarted or freshly sharded services
-	// start warm from each other's captures. SIGCAP02 loads are mapped
-	// read-only and replayed by streaming frames, so a warm start costs
-	// the footer index (not a full decode) and co-located shards share
-	// the file pages through the OS page cache. Ignored when the trace
-	// cache is disabled. All directory I/O is best-effort: a missing,
-	// corrupt, or unwritable file degrades to the in-memory path.
+	// TraceDir, when set, backs the trace cache with a directory of
+	// SIGCAP02 capture files: newly captured traces are persisted there,
+	// evicted captures are demoted to disk if not already present, and
+	// cache misses try the directory before re-interpreting — so restarted
+	// or freshly sharded services start warm from each other's captures.
+	// Loads are mapped read-only and replayed by streaming frames, so a
+	// warm start costs the footer index (not a full decode) and co-located
+	// shards share the file pages through the OS page cache. Ignored when
+	// the trace cache is disabled. All directory I/O is best-effort: a
+	// missing, corrupt, or unwritable file degrades to the in-memory path,
+	// and a file that fails to load or replay is replaced by the next
+	// capture of its benchmark.
 	TraceDir string
-	// TraceNoMmap disables the mapped residency tier: spilled captures
-	// are always eagerly decoded into memory. For platforms or operators
-	// that cannot or do not want to mmap the trace dir (e.g. it lives on
-	// a network filesystem with unreliable page-fault semantics). The
-	// mapped tier also silently degrades to eager decode wherever mmap is
-	// unsupported, so this is a policy knob, not a portability requirement.
-	TraceNoMmap bool
 	// Faults arms deterministic fault injection at the service's seams
 	// (nil in production: every hook is then a zero-cost no-op).
 	Faults *faultinject.Injector
@@ -133,7 +127,7 @@ type Service struct {
 	cache        *lruCache
 	traces       *traceCache // nil when capture/replay is disabled
 	traceDir     string      // capture spill directory ("" = in-memory only)
-	traceNoMmap  bool        // true = spill loads always eagerly decode
+	staleSpills  sync.Map    // bench name -> true: its trace-dir file is unusable
 	tflight      *captureFlight
 	flight       *flightGroup
 	breaker      *breaker
@@ -195,7 +189,6 @@ func New(cfg Config) *Service {
 		}
 		s.traces = newTraceCache(int64(mb)<<20, &s.metrics)
 		s.traceDir = cfg.TraceDir
-		s.traceNoMmap = cfg.TraceNoMmap
 		s.tflight = newCaptureFlight()
 	}
 	s.flight = newFlightGroup(cfg.Faults)

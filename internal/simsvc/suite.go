@@ -11,7 +11,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/icomp"
-	"repro/internal/trace"
 )
 
 // suiteKey is the cache/singleflight identity of the full-suite evaluation.
@@ -141,31 +140,25 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 						}
 					}
 					s.metrics.executions.Add(1)
-					cols := experiments.NewSuiteCollectors()
 					var (
 						br       experiments.BenchResult
+						cols     *experiments.SuiteCollectors
 						benchErr error
 					)
 					if s.tracesEnabled() {
 						// Replay the shared capture (one interpreter run per
 						// benchmark, whoever asked first); bit-identical to
-						// the live path by construction and by test. A mapped
-						// entry evicted (and closed) between the cache hit and
-						// the replay fails before consuming any event, so one
-						// retry — which misses and re-maps — is safe and
-						// sufficient.
-						replay := func() (experiments.BenchResult, error) {
-							e, err := s.captureFor(ctx, b)
-							if err != nil {
-								return experiments.BenchResult{}, err
-							}
-							return experiments.RunBenchReplay(ctx, e.rep, rc, cols)
-						}
-						br, benchErr = replay()
-						if benchErr != nil && errors.Is(benchErr, trace.ErrMappedClosed) {
-							br, benchErr = replay()
-						}
+						// the live path by construction and by test. A retry
+						// (see withTrace) starts from fresh collectors, since
+						// a replay that failed mid-trace has fed them part
+						// of it.
+						benchErr = s.withTrace(ctx, b, func(e *traceEntry) (err error) {
+							cols = experiments.NewSuiteCollectors()
+							br, err = experiments.RunBenchReplay(ctx, e.rep, rc, cols)
+							return err
+						})
 					} else {
+						cols = experiments.NewSuiteCollectors()
 						br, benchErr = experiments.RunBenchCtx(ctx, b, rc, cols)
 					}
 					if benchErr != nil {

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"sync"
 
@@ -15,12 +16,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
-
-// scalarReplayForBench forces the replay path back onto the event-at-a-time
-// engine instead of the column-block batch engine. Benchmark-only knob:
-// BenchmarkSweepReplayVsExecute flips it to measure the scalar arm. Never
-// set in production, and only toggled before any request is in flight.
-var scalarReplayForBench bool
 
 // DefaultTraceCacheMB is the captured-trace budget when Config.TraceCacheMB
 // is zero: enough for the whole served suite (~90 MB at 24 B/instruction)
@@ -80,11 +75,7 @@ func (e *traceEntry) activityCounts(ctx context.Context, gran int, rc *icomp.Rec
 		return activity.Counts{}, err
 	}
 	col := activity.NewCollector(gran, rc, mem)
-	replay := e.rep.ReplayBlocksOn
-	if scalarReplayForBench {
-		replay = e.rep.ReplayOn
-	}
-	if err := replay(ctx, mem, rc, col); err != nil {
+	if err := e.rep.ReplayBlocksOn(ctx, mem, rc, col); err != nil {
 		return activity.Counts{}, err
 	}
 	m.counts, m.done = col.Counts(), true
@@ -196,6 +187,21 @@ func (c *traceCache) refresh(key string) []*traceCacheEntry {
 	evicted := c.evictOverBudget()
 	c.metrics.traceCacheBytes.Store(c.bytes)
 	return evicted
+}
+
+// remove drops key's entry if it is still e (a racing request may already
+// have replaced it with a fresh one, which stays).
+func (c *traceCache) remove(key string, e *traceEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok || el.Value.(*traceCacheEntry).entry != e {
+		return
+	}
+	c.order.Remove(el)
+	delete(c.items, key)
+	c.bytes -= e.bytes
+	c.metrics.traceCacheBytes.Store(c.bytes)
 }
 
 func (c *traceCache) len() int {
@@ -328,57 +334,51 @@ func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntr
 }
 
 // loadSpilled tries the trace dir for a previously persisted capture of b.
-// SIGCAP02 spills are mapped, not decoded: the warm start costs the footer
-// index and a frame buffer, the columns stream lazily at replay time, and
-// co-located shards share the clean file pages through the OS page cache.
-// SIGCAP01 spills (pre-migration directories) and platforms or configs
-// without mmap fall back to the eager full decode. Any failure — no dir,
-// no file, corruption, wrong benchmark — is a plain miss; the caller
-// re-interprets.
+// Spills are mapped, not decoded: the warm start costs the footer index and
+// a frame buffer, the columns stream lazily at replay time, and co-located
+// shards share the clean file pages through the OS page cache. Any failure
+// is a plain miss and the caller re-interprets; a file that is there but
+// unusable — corrupt, truncated, from a retired format, recording another
+// benchmark — is also marked stale, so the fresh capture replaces it.
 func (s *Service) loadSpilled(b bench.Benchmark) *traceEntry {
 	if s.traceDir == "" {
 		return nil
 	}
-	path := trace.CaptureFilePath(s.traceDir, b.Name)
-	if !s.traceNoMmap {
-		if mc, err := trace.OpenMappedCapture(path); err == nil {
-			// The file names its benchmark, but the served suite is
-			// authoritative: a capture whose benchmark diverges from ours
-			// replays the wrong trace.
-			if got := mc.Bench(); got.Name != b.Name || got.Checksum != b.Checksum {
-				mc.Close()
-				return nil
-			}
-			s.metrics.traceSpillLoads.Add(1)
-			s.metrics.traceMapLoads.Add(1)
-			return &traceEntry{rep: mc, mapped: mc, bytes: int64(mc.SizeBytes())}
-		}
-	}
-	cp, err := trace.ReadCaptureFile(path)
-	if err != nil {
+	if _, stale := s.staleSpills.Load(b.Name); stale {
 		return nil
 	}
-	if got := cp.Bench(); got.Name != b.Name || got.Checksum != b.Checksum {
+	mc, err := trace.OpenCaptureFor(s.traceDir, b)
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.staleSpills.Store(b.Name, true)
+		}
 		return nil
 	}
 	s.metrics.traceSpillLoads.Add(1)
-	return &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
+	s.metrics.traceMapLoads.Add(1)
+	return &traceEntry{rep: mc, mapped: mc, bytes: int64(mc.SizeBytes())}
 }
 
-// spillCapture persists cp to the trace dir unless it is already there.
-// Captures are deterministic per benchmark, so an existing file is as good
-// as ours; write errors are swallowed (the dir is an optimization, never
-// a dependency).
+// spillCapture persists cp to the trace dir unless a usable copy is
+// already there. Captures are deterministic per benchmark, so an existing
+// file is as good as ours — unless it is stale (it failed to load or
+// replay), in which case ours replaces it. WriteCaptureFile renames over
+// the old file, so a process still mapping it keeps the old inode. Write
+// errors are swallowed (the dir is an optimization, never a dependency).
 func (s *Service) spillCapture(cp *trace.Capture) {
 	if s.traceDir == "" {
 		return
 	}
-	if _, err := os.Stat(trace.CaptureFilePath(s.traceDir, cp.Bench().Name)); err == nil {
-		return
+	name := cp.Bench().Name
+	if _, stale := s.staleSpills.Load(name); !stale {
+		if _, err := os.Stat(trace.CaptureFilePath(s.traceDir, name)); err == nil {
+			return
+		}
 	}
 	if _, err := trace.WriteCaptureFile(s.traceDir, cp); err != nil {
 		return
 	}
+	s.staleSpills.Delete(name)
 	s.metrics.traceSpills.Add(1)
 }
 
@@ -432,27 +432,59 @@ func (s *Service) tracePut(ctx context.Context, key string, e *traceEntry) {
 	s.spillEvicted(evicted)
 }
 
+// withTrace resolves b's capture and runs replay on it, retrying once on a
+// fresh entry when the failure was the entry's, not the request's: a
+// mapped entry evicted (and closed) between the cache hit and the replay
+// fails with ErrMappedClosed before consuming any event, and a mapped file
+// that proves corrupt mid-replay — a damaged frame, or a file truncated
+// under the mapping — fails with a *CorruptError. The corrupt entry is
+// dropped from the cache and its file marked stale, so the retry
+// re-interprets and the fresh capture replaces the file. replay must build
+// its consumers afresh on every call: a failed attempt may have fed them
+// part of the trace.
+func (s *Service) withTrace(ctx context.Context, b bench.Benchmark, replay func(*traceEntry) error) error {
+	for attempt := 0; ; attempt++ {
+		e, err := s.captureFor(ctx, b)
+		if err != nil {
+			return err
+		}
+		err = replay(e)
+		var ce *trace.CorruptError
+		switch {
+		case errors.As(err, &ce):
+			s.dropCorrupt(b.Name, e)
+		case !errors.Is(err, trace.ErrMappedClosed):
+			return err
+		}
+		if attempt > 0 {
+			return err
+		}
+	}
+}
+
+// dropCorrupt removes e from the trace cache (if it is still key's entry),
+// closes it, and marks its trace-dir file stale so the next spill of key
+// overwrites it instead of keeping it.
+func (s *Service) dropCorrupt(key string, e *traceEntry) {
+	s.traces.remove(key, e)
+	e.close()
+	s.staleSpills.Store(key, true)
+}
+
 // executeReplay is the capture-backed twin of the live half of execute: it
 // resolves the benchmark's capture (sharing it across concurrent requests
 // and models) and replays it instead of re-interpreting. Responses are
-// bit-identical to the live path regardless of residency tier. A mapped
-// entry can be evicted — and its handle closed — between our cache hit and
-// the replay; that loses nothing but the mapping, so it is retried exactly
-// once: the retry's captureFor misses and re-maps (or re-captures) fresh.
+// bit-identical to the live path regardless of residency tier.
 func (s *Service) executeReplay(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
-	resp, err := s.replayOnce(ctx, req, rc, b)
-	if err != nil && errors.Is(err, trace.ErrMappedClosed) {
-		resp, err = s.replayOnce(ctx, req, rc, b)
-	}
+	var resp *Response
+	err := s.withTrace(ctx, b, func(e *traceEntry) (err error) {
+		resp, err = s.replayOnce(ctx, req, rc, b, e)
+		return err
+	})
 	return resp, err
 }
 
-func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
-	e, err := s.captureFor(ctx, b)
-	if err != nil {
-		return nil, err
-	}
-
+func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark, e *traceEntry) (*Response, error) {
 	if req.Model == "" {
 		br, err := experiments.RunBenchReplay(ctx, e.rep, rc, nil)
 		if err != nil {
@@ -472,12 +504,7 @@ func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder
 	// per-entry memo (one memory-backed replay per granularity, shared by
 	// every model of a sweep).
 	m := pipeline.New(req.Model)
-	if scalarReplayForBench {
-		err = e.rep.ReplayOn(ctx, nil, rc, m)
-	} else {
-		err = e.rep.ReplayBlocks(ctx, rc, m)
-	}
-	if err != nil {
+	if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
 		return nil, err
 	}
 	counts, err := e.activityCounts(ctx, req.Gran, rc)

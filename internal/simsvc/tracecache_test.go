@@ -2,7 +2,6 @@ package simsvc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -200,15 +199,8 @@ func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	if replayResp.Insts != liveResp.Insts {
 		t.Fatalf("insts: replay %d vs live %d", replayResp.Insts, liveResp.Insts)
 	}
-	replayJSON, err := json.Marshal(replayResp.Suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveJSON, err := json.Marshal(liveResp.Suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(replayJSON) != string(liveJSON) {
+	replayJSON, liveJSON := mustJSON(t, replayResp.Suite), mustJSON(t, liveResp.Suite)
+	if replayJSON != liveJSON {
 		t.Fatalf("suite JSON differs between replay and live paths:\nreplay: %.400s\nlive:   %.400s", replayJSON, liveJSON)
 	}
 	if m := replaySvc.Metrics().Snapshot(); m.Captures != uint64(len(benches)) {
@@ -230,16 +222,7 @@ func TestSweepByteIdenticalReplayVsLive(t *testing.T) {
 			if r.Error != "" {
 				return fmt.Errorf("job %s/%s: %s", r.Bench, r.Model, r.Error)
 			}
-			// Normalize the non-deterministic envelope fields; everything
-			// else must match bit for bit.
-			c := *r
-			c.ElapsedMS = 0
-			c.Cached = false
-			j, err := json.Marshal(&c)
-			if err != nil {
-				return err
-			}
-			out[r.Bench+"|"+r.Model] = string(j)
+			out[r.Bench+"|"+r.Model] = responseJSON(t, r)
 			return nil
 		})
 		if err != nil {

@@ -22,6 +22,25 @@ func mustTestBench(t *testing.T, name string) bench.Benchmark {
 	return b
 }
 
+// mustJSON marshals v for a byte-for-byte comparison.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	j, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(j)
+}
+
+// responseJSON renders r without its per-request envelope fields (elapsed
+// time, cache flag), so replayed and live answers compare byte for byte.
+func responseJSON(t *testing.T, r *Response) string {
+	t.Helper()
+	c := *r
+	c.ElapsedMS, c.Cached = 0, false
+	return mustJSON(t, &c)
+}
+
 // churnRecoders builds n recoders with distinct profiles (rotations of the
 // default top-funct list), simulating a fleet of requests that each arrive
 // with their own recoding.
@@ -158,18 +177,8 @@ func TestTraceDirSpillAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize := func(r *Response) string {
-		c := *r
-		c.ElapsedMS = 0
-		c.Cached = false
-		j, err := json.Marshal(&c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
-	if normalize(got) != normalize(want) {
-		t.Fatalf("reloaded capture diverges from live path:\nreplay: %s\nlive:   %s", normalize(got), normalize(want))
+	if responseJSON(t, got) != responseJSON(t, want) {
+		t.Fatalf("reloaded capture diverges from live path:\nreplay: %s\nlive:   %s", responseJSON(t, got), responseJSON(t, want))
 	}
 }
 
@@ -207,24 +216,124 @@ func TestTraceDirWarmStart(t *testing.T) {
 	}
 }
 
-// TestTraceDirCorruptFileDegrades writes garbage where a capture should be;
-// the service must fall back to interpreting, not fail or serve junk.
+// TestTraceDirCorruptFileDegrades puts an unusable file where a capture
+// should be — garbage, or a file from the retired SIGCAP01 format. The
+// service must fall back to interpreting, not fail or serve junk, and its
+// fresh capture must replace the file: a restarted service on the same dir
+// then starts warm from it.
 func TestTraceDirCorruptFileDegrades(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
-	if err := os.WriteFile(trace.CaptureFilePath(dir, "g711dec"), []byte("not a capture"), 0o644); err != nil {
+	req := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
+	for label, junk := range map[string][]byte{
+		"garbage":  []byte("not a capture"),
+		"SIGCAP01": append([]byte("SIGCAP01\x07g711dec"), make([]byte, 64)...),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(trace.CaptureFilePath(dir, "g711dec"), junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
+		first, err := s.Simulate(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		m := s.Metrics().Snapshot()
+		if m.Captures != 1 {
+			t.Fatalf("%s: captures = %d, want 1 (corrupt file must force re-interpretation)", label, m.Captures)
+		}
+		if m.TraceSpillLoads != 0 || m.TraceSpills != 1 {
+			t.Fatalf("%s: spill loads = %d, spills = %d, want 0/1 (the capture replaces the file)",
+				label, m.TraceSpillLoads, m.TraceSpills)
+		}
+
+		restarted := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
+		again, err := restarted.Simulate(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: restarted: %v", label, err)
+		}
+		if m := restarted.Metrics().Snapshot(); m.Captures != 0 || m.TraceMapLoads != 1 {
+			t.Fatalf("%s: restarted service captures = %d, map loads = %d, want 0/1",
+				label, m.Captures, m.TraceMapLoads)
+		}
+		if again.Cycles != first.Cycles || again.Insts != first.Insts {
+			t.Fatalf("%s: restarted service diverged: %+v vs %+v", label, again, first)
+		}
+	}
+}
+
+// TestTraceDirTruncatedMidReplay truncates a capture file while a service
+// holds it mapped, so the next replay touches pages that no longer exist.
+// Both replay sites — a simulate request and the suite — must answer
+// correctly (the fault becomes a *CorruptError, the entry is dropped, and
+// the one retry re-interprets), the process must survive, and the rewritten
+// file must warm-start a restarted service.
+func TestTraceDirTruncatedMidReplay(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := mustTestBench(t, "dijkstra")
+	cp, err := trace.CaptureRun(ctx, b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
-	if _, err := s.Simulate(ctx, Request{Bench: "g711dec", Model: pipeline.NameByteSerial}); err != nil {
+	path, err := trace.WriteCaptureFile(dir, cp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics().Snapshot()
-	if m.Captures != 1 {
-		t.Fatalf("captures = %d, want 1 (corrupt file must force re-interpretation)", m.Captures)
+	live := testService(t, Config{Workers: 2, TraceCacheMB: -1}, "dijkstra")
+	warmReq := Request{Bench: "dijkstra", Model: pipeline.NameBaseline32}
+	req := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial}
+
+	// mapAndTruncate starts a service on dir, maps the capture with a
+	// first request, then truncates the file under the mapping.
+	mapAndTruncate := func() *Service {
+		s := testService(t, Config{Workers: 2, TraceDir: dir}, "dijkstra")
+		if _, err := s.Simulate(ctx, warmReq); err != nil {
+			t.Fatal(err)
+		}
+		if m := s.Metrics().Snapshot(); m.Captures != 0 || m.TraceMapLoads != 1 {
+			t.Fatalf("captures = %d, map loads = %d, want 0/1", m.Captures, m.TraceMapLoads)
+		}
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	if m.TraceSpillLoads != 0 {
-		t.Fatalf("spill loads = %d, want 0", m.TraceSpillLoads)
+
+	s := mapAndTruncate()
+	got, err := s.Simulate(ctx, req)
+	if err != nil {
+		t.Fatalf("simulate after truncation: %v", err)
+	}
+	want, err := live.Simulate(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if responseJSON(t, got) != responseJSON(t, want) {
+		t.Fatalf("simulate after truncation diverges:\ngot:  %s\nwant: %s", responseJSON(t, got), responseJSON(t, want))
+	}
+	if m := s.Metrics().Snapshot(); m.Captures != 1 || m.TraceSpills != 1 {
+		t.Fatalf("after truncation: captures = %d, spills = %d, want 1/1", m.Captures, m.TraceSpills)
+	}
+
+	s = mapAndTruncate() // warm from the rewritten file, then truncate again
+	suite, err := s.Suite(ctx)
+	if err != nil {
+		t.Fatalf("suite after truncation: %v", err)
+	}
+	liveSuite, err := live.Suite(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mustJSON(t, suite.Suite) != mustJSON(t, liveSuite.Suite) {
+		t.Fatal("suite after truncation diverges from the live path")
+	}
+
+	restarted := testService(t, Config{Workers: 2, TraceDir: dir}, "dijkstra")
+	if _, err := restarted.Simulate(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if m := restarted.Metrics().Snapshot(); m.Captures != 0 || m.TraceMapLoads != 1 {
+		t.Fatalf("restarted service captures = %d, map loads = %d, want 0/1", m.Captures, m.TraceMapLoads)
 	}
 }
 
@@ -234,24 +343,11 @@ func TestTraceDirCorruptFileDegrades(t *testing.T) {
 // benchmarks fit a budget that forced the cold shard to evict — a mapped
 // entry is accounted at roughly index + one frame buffer, not the decoded
 // columns — and (d) the responses stay byte-identical to the cold shard's.
-// With TraceNoMmap the same warm start falls back to eager decoding and the
-// responses still match.
 func TestTraceDirMappedTier(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	req1 := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial, Gran: 1}
 	req2 := Request{Bench: "g711dec", Model: pipeline.NameByteSerial, Gran: 1}
-
-	normalize := func(r *Response) string {
-		c := *r
-		c.ElapsedMS = 0
-		c.Cached = false
-		j, err := json.Marshal(&c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
 
 	// Cold shard: interprets and spills; the 2 MB budget holds only one
 	// decoded (~1.4 MB) capture at a time, so the second bench evicts the
@@ -301,25 +397,8 @@ func TestTraceDirMappedTier(t *testing.T) {
 		t.Fatalf("two mapped entries account %d bytes, one resident capture %d: mapped tier is not cheap",
 			wb, coldBytes)
 	}
-	if normalize(g1) != normalize(w1) || normalize(g2) != normalize(w2) {
+	if responseJSON(t, g1) != responseJSON(t, w1) || responseJSON(t, g2) != responseJSON(t, w2) {
 		t.Fatalf("mapped replay diverges from resident replay:\nmapped:   %s\nresident: %s",
-			normalize(g1), normalize(w1))
-	}
-
-	// TraceNoMmap: same warm start, eager tier only, same answers.
-	eager := testService(t, Config{Workers: 2, TraceCacheMB: 2, TraceDir: dir, TraceNoMmap: true}, "dijkstra", "g711dec")
-	e1, err := eager.Simulate(ctx, req1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m = eager.Metrics().Snapshot()
-	if m.TraceMapLoads != 0 || m.TraceSpillLoads != 1 {
-		t.Fatalf("TraceNoMmap loads: spill=%d map=%d, want 1/0", m.TraceSpillLoads, m.TraceMapLoads)
-	}
-	if n := eager.TraceMappedEntries(); n != 0 {
-		t.Fatalf("TraceNoMmap shard mapped entries = %d, want 0", n)
-	}
-	if normalize(e1) != normalize(w1) {
-		t.Fatalf("eager warm replay diverges:\neager: %s\ncold:  %s", normalize(e1), normalize(w1))
+			responseJSON(t, g1), responseJSON(t, w1))
 	}
 }

@@ -1,28 +1,25 @@
-// Batch replay: column-block fan-out of a Capture.
+// Batch replay: column-block fan-out of a Capture, the one replay loop.
 //
-// Scalar replay (ReplayOn) materializes one Event per instruction and calls
-// every consumer once per event — clean, but the per-event costs (a 200-byte
-// Event copy into each Consume call, plus whatever per-event bookkeeping the
-// consumer does) dominate replay time. Batch replay instead hands consumers
-// *column blocks*: contiguous slices of the six u32 capture columns plus the
-// per-block statics annotation table, so a batch-aware consumer can run
-// branch-free kernels over whole columns and amortize its per-instruction
-// overheads to (near) zero. Consumers that do not implement BatchConsumer
-// are driven through a scalar-compatibility shim that reconstructs events
-// exactly as ReplayOn does, so the two paths are bit-identical by
-// construction for scalar consumers and by test for batch ones.
+// Replay hands consumers *column blocks*: contiguous slices of the six u32
+// capture columns plus the per-block statics annotation table, so a
+// batch-aware consumer can run branch-free kernels over whole columns and
+// amortize its per-instruction overheads to (near) zero. Consumers that do
+// not implement BatchConsumer are driven through a scalar-compatibility
+// shim that reconstructs each row's Event (Block.EventAt), bit-identical
+// to the live run's by test. The live run (RunCtx) stays the independent
+// reference for that reconstruction.
 //
-// Memory ordering. The scalar path applies each captured store just before
-// fanning out its event, and memory-reading consumers (the activity
-// collectors read cache-line contents at fill time) depend on that order. A
-// block of rows spanning a store cannot simply be fanned out after applying
-// all its stores — a consumer filling a cache line at row i must not observe
-// a store from row j > i. ReplayBlocksOn therefore splits each block at
+// Memory ordering. The live loop applies each store just before fanning
+// out its event, and memory-reading consumers (the activity collectors
+// read cache-line contents at fill time) depend on that order. A block of
+// rows spanning a store cannot simply be fanned out after applying all its
+// stores — a consumer filling a cache line at row i must not observe a
+// store from row j > i. ReplayBlocksOn therefore splits each block at
 // store rows: rows [lo, i) are emitted, store i is applied, and the next
 // span starts at i (the store row itself is emitted in the following span,
-// after its own store has landed — the same state-then-consume order as the
-// live loop and ReplayOn). With a nil memory image no splitting is needed
-// and blocks are emitted whole.
+// after its own store has landed — the same state-then-consume order as
+// the live loop). With a nil memory image no splitting is needed and
+// blocks are emitted whole.
 package trace
 
 import (
@@ -134,9 +131,9 @@ type Block struct {
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return len(b.Slot) }
 
-// EventAt reconstructs row i of the block into *ev, exactly as the scalar
-// replay path would have built it. The reused *ev pattern (instead of
-// returning an Event) keeps the 200-byte struct out of per-row copies.
+// EventAt reconstructs row i of the block into *ev, exactly as the live
+// run built it. The reused *ev pattern (instead of returning an Event)
+// keeps the 200-byte struct out of per-row copies.
 func (b *Block) EventAt(i int, ev *Event) {
 	sw := b.Slot[i]
 	st := &b.Statics[sw&SlotMask]
@@ -181,7 +178,7 @@ func (b *Block) EventAt(i int, ev *Event) {
 
 // BatchConsumer is a Consumer that can additionally ingest whole column
 // blocks. Batch replay feeds ConsumeBlock; the embedded scalar Consume keeps
-// the type usable with live runs and scalar replay unchanged.
+// the type usable with live runs unchanged.
 type BatchConsumer interface {
 	Consumer
 	ConsumeBlock(b *Block)
@@ -214,28 +211,17 @@ func (s *scalarShim) ConsumeBlock(b *Block) {
 // are not applied anywhere, which is sufficient for consumers that never
 // read program memory (the pipeline timing models). Consumers that read
 // memory (activity collectors) need ReplayBlocksOn with the benchmark's
-// initial image (NewMemory), or the top-level BatchReplay.
+// initial image (NewMemory).
 func (cp *Capture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
 	return cp.ReplayBlocksOn(ctx, nil, rc, consumers...)
 }
 
-// BatchReplay is the batch twin of Replay: it rebuilds the benchmark's
-// memory image and fans the trace out in column blocks, bit-identical to a
-// live run for every consumer (batch-aware or not).
-func (cp *Capture) BatchReplay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := cp.NewMemory()
-	if err != nil {
-		return err
-	}
-	return cp.ReplayBlocksOn(ctx, m, rc, consumers...)
-}
-
-// ReplayBlocksOn is the batch twin of ReplayOn: it fans the capture out to
-// the consumers in column blocks of up to BlockRows rows. BatchConsumers
-// receive blocks directly; plain Consumers are driven through the scalar
-// shim. With a non-nil memory image the blocks are additionally split at
-// store rows so every consumer observes memory exactly as the live run did
-// (see the package comment on memory ordering).
+// ReplayBlocksOn fans the capture out to the consumers in column blocks of
+// up to BlockRows rows. BatchConsumers receive blocks directly; plain
+// Consumers are driven through the scalar shim. With a non-nil memory image
+// the blocks are additionally split at store rows so every consumer
+// observes memory exactly as the live run did (see the package comment on
+// memory ordering).
 func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
 	ifb := cp.ifBytes(rc)
 	sinks := gatherSinks(consumers)
@@ -285,7 +271,7 @@ func gatherSinks(consumers []Consumer) []BatchConsumer {
 // splitting at store rows when a memory image is present: rows [lo, i) are
 // emitted, store i is applied, and the next span starts at i — the store
 // row's own event is observed only after its store has landed, and before
-// any later one, exactly like the scalar loop. Both residency tiers
+// any later one, exactly like the live loop. Both residency tiers
 // (in-memory ReplayBlocksOn and the streaming frame replayer) share this,
 // so their memory ordering cannot diverge. start is the trace-global index
 // of span row 0; endNextPC is the NextPC of the span's final row. blk

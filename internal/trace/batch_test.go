@@ -8,38 +8,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestBatchReplayShimIdentical verifies the scalar-compatibility shim: a
-// plain Consumer fed through batch replay must observe exactly the event
-// stream the scalar replay path produces, including the memory-dependent
-// fields (store ordering), for every benchmark in the capture test set.
-func TestBatchReplayShimIdentical(t *testing.T) {
-	ctx := context.Background()
-	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	for _, name := range captureTestBenches {
-		b := mustBench(t, name)
-		cp, err := trace.CaptureRun(ctx, b)
-		if err != nil {
-			t.Fatalf("capture %s: %v", name, err)
-		}
-		var scalar, batch eventRecorder
-		if err := cp.Replay(ctx, rc, &scalar); err != nil {
-			t.Fatalf("%s scalar replay: %v", name, err)
-		}
-		if err := cp.BatchReplay(ctx, rc, &batch); err != nil {
-			t.Fatalf("%s batch replay: %v", name, err)
-		}
-		if len(scalar.events) != len(batch.events) {
-			t.Fatalf("%s: scalar replay %d events, batch %d", name, len(scalar.events), len(batch.events))
-		}
-		for i := range scalar.events {
-			if scalar.events[i] != batch.events[i] {
-				t.Fatalf("%s: event %d diverges\nscalar: %+v\nbatch:  %+v",
-					name, i, scalar.events[i], batch.events[i])
-			}
-		}
-	}
-}
-
 // TestBatchReplayBlockShape checks the block invariants a BatchConsumer may
 // rely on: rows partition the trace in order, Start is the global index,
 // EndNextPC chains to the next block's first PC, and the statics/IFB tables

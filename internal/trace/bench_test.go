@@ -46,7 +46,8 @@ func BenchmarkCapture(b *testing.B) {
 }
 
 // BenchmarkReplay measures re-annotating a captured trace without the
-// interpreter — the hot loop of every warm sweep.
+// interpreter for a plain Consumer: every row is rebuilt into an Event by
+// the scalar shim, the cost a consumer without a block kernel pays.
 func BenchmarkReplay(b *testing.B) {
 	bm := mustBench(b, "dijkstra")
 	rc := benchRecoder(b)
@@ -59,7 +60,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cp.Replay(ctx, rc, sink); err != nil {
+		if err := cp.ReplayBlocks(ctx, rc, sink); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,17 +24,17 @@
 // StoreVal = SrcB, NextPC = next instruction's PC (the interpreter retires
 // in program order), destination register/flags from the statics. The
 // recoder-dependent IFBytes is deliberately NOT captured: it is a pure
-// function of the raw word and the recoder, so Replay resolves it through a
+// function of the raw word and the recoder, so replay resolves it through a
 // per-statics-slot table built once per (Capture, Recoder) pair — the same
 // trace replays under any instruction recoding.
 //
 // Memory. Consumers may read the program's memory image (the activity
 // collectors read cache-line contents at fill time), and only stores mutate
 // memory during a run (syscalls write the CPU's output buffer, never
-// memory). Replay therefore rebuilds the initial image and applies each
-// captured store just before fanning out its event — the same
-// state-then-consume order as the live loop — making replay bit-identical
-// to live execution, which the equivalence tests assert.
+// memory). ReplayBlocksOn therefore takes the rebuilt initial image
+// (NewMemory) and applies each captured store just before fanning out its
+// row — the same state-then-consume order as the live loop — making replay
+// bit-identical to live execution, which the equivalence tests assert.
 package trace
 
 import (
@@ -126,11 +126,6 @@ type Replayer interface {
 	// NewMemory rebuilds the benchmark's initial memory image, for
 	// consumers that read program memory during replay.
 	NewMemory() (*mem.Memory, error)
-	// ClearMemos drops memoized per-recoder fetch-size tables.
-	ClearMemos()
-	// ReplayOn is the scalar (event-at-a-time) replay over a caller
-	// memory image; see Capture.ReplayOn for the contract.
-	ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error
 	// ReplayBlocks is batch replay without a memory image.
 	ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error
 	// ReplayBlocksOn is batch replay over a caller memory image; see
@@ -175,14 +170,6 @@ func (mm *ifbMemo) tableFor(rc *icomp.Recoder, statics []Static) []uint8 {
 	return t
 }
 
-// clear drops every memoized table; replays rebuild them on demand.
-func (mm *ifbMemo) clear() {
-	mm.mu.Lock()
-	mm.tabs = nil
-	mm.order = nil
-	mm.mu.Unlock()
-}
-
 // sizeBytes estimates the memo's resident footprint for a statics table of
 // nStatics entries.
 func (mm *ifbMemo) sizeBytes(nStatics int) int {
@@ -192,9 +179,9 @@ func (mm *ifbMemo) sizeBytes(nStatics int) int {
 	return n * (nStatics + ifbMemoOverhead)
 }
 
-// Capture is one benchmark's recorded trace. Record it by running the
-// benchmark to completion (CaptureRun, or Consume riding along any live
-// run); once complete it is immutable and safe for concurrent Replays.
+// Capture is one benchmark's recorded trace, recorded by CaptureRun or
+// decoded from a capture file; it is immutable and safe for concurrent
+// replays.
 type Capture struct {
 	bench   bench.Benchmark
 	statics []Static
@@ -212,9 +199,9 @@ type Capture struct {
 	memo ifbMemo // per-recoder-profile fetch-size tables
 }
 
-// NewCapture returns an empty capture for b, ready to record (via Consume
-// as a run consumer, or internally via CaptureRun).
-func NewCapture(b bench.Benchmark) *Capture {
+// newCapture returns an empty capture for b, ready to record or decode
+// into.
+func newCapture(b bench.Benchmark) *Capture {
 	return &Capture{
 		bench:  b,
 		slotOf: make(map[uint32]uint32, 512),
@@ -224,13 +211,13 @@ func NewCapture(b bench.Benchmark) *Capture {
 // CaptureRun executes b to completion and records its trace. It is the
 // recoder-free twin of RunCtx: significance annotation is computed (and
 // stored) for every event, but no instruction recoding is consulted — that
-// binding happens at Replay time.
+// binding happens at replay time.
 func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	c, err := b.NewCPU()
 	if err != nil {
 		return nil, err
 	}
-	cp := NewCapture(b)
+	cp := newCapture(b)
 	cp.grow(int(b.MaxInsts))
 	var n uint64
 	for !c.Done {
@@ -256,14 +243,14 @@ func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	if got := c.Regs[bench.ChecksumReg]; got != b.Checksum {
 		return nil, fmt.Errorf("trace: %s checksum %#08x, want %#08x", b.Name, got, b.Checksum)
 	}
-	cp.Finalize()
+	cp.finalize()
 	return cp, nil
 }
 
 // grow pre-sizes the dynamic columns. The hint is capped well below the
 // runaway guard MaxInsts (which most benchmarks finish far under) so a
 // capture never over-commits memory; append growth covers longer traces and
-// compact trims the slack afterwards.
+// finalize trims the slack afterwards.
 func (cp *Capture) grow(hint int) {
 	if hint <= 0 {
 		return
@@ -279,13 +266,10 @@ func (cp *Capture) grow(hint int) {
 	cp.sig = make([]uint32, 0, hint)
 }
 
-// Finalize trims append slack so SizeBytes reflects exactly the recorded
-// trace. Call it once recording is finished: CaptureRun does, and any
-// capture recorded by riding along a live run (Consume) must be finalized
-// by the ride-along site before the capture is sized or cached — append
-// growth otherwise leaves up to ~2x slack in the dynamic columns. Safe to
-// call more than once; a finalized capture with no slack is left untouched.
-func (cp *Capture) Finalize() {
+// finalize trims append slack so SizeBytes reflects exactly the recorded
+// trace: append growth otherwise leaves up to ~2x slack in the dynamic
+// columns.
+func (cp *Capture) finalize() {
 	trim := func(s []uint32) []uint32 {
 		if cap(s) == len(s) {
 			return s
@@ -302,12 +286,8 @@ func (cp *Capture) Finalize() {
 	cp.sig = trim(cp.sig)
 }
 
-// Consume implements Consumer, so a Capture can ride along any live run
-// (Run/RunOnCtx) and record the stream while other consumers observe it.
-func (cp *Capture) Consume(ev Event) { cp.record(ev) }
-
 // staticFor derives the statics-table entry for one decoded instruction.
-// record and the SIGCAP01 reader (capfile.go) share it, so a capture decoded
+// record and the capture-file reader (capfile.go) share it, so a capture decoded
 // from disk rebuilds exactly the table the original recording held.
 func staticFor(in isa.Inst) Static {
 	dest, hasDest := in.DestReg()
@@ -387,11 +367,6 @@ func (cp *Capture) SizeBytes() int {
 	return cols*4 + len(cp.statics)*staticSize + cp.memo.sizeBytes(len(cp.statics))
 }
 
-// ClearMemos drops every memoized per-recoder fetch-size table, releasing
-// the memory SizeBytes attributes to them. Replays rebuild tables on demand;
-// the capture itself is untouched.
-func (cp *Capture) ClearMemos() { cp.memo.clear() }
-
 // FunctCounts tallies the dynamic R-format function-code frequencies of the
 // recorded trace — the per-benchmark input to the paper's Table 3 recoding,
 // for free from the capture (no re-execution, no annotation).
@@ -409,8 +384,9 @@ func (cp *Capture) FunctCounts() map[isa.Funct]uint64 {
 	return counts
 }
 
-// NewMemory builds the benchmark's initial memory image, for ReplayOn
-// consumers that read program memory (the activity collectors).
+// NewMemory builds the benchmark's initial memory image, for
+// ReplayBlocksOn consumers that read program memory (the activity
+// collectors).
 func (cp *Capture) NewMemory() (*mem.Memory, error) {
 	c, err := cp.bench.NewCPU()
 	if err != nil {
@@ -426,90 +402,4 @@ func (cp *Capture) NewMemory() (*mem.Memory, error) {
 // against it over its cached lifetime.
 func (cp *Capture) ifBytes(rc *icomp.Recoder) []uint8 {
 	return cp.memo.tableFor(rc, cp.statics)
-}
-
-// Replay re-annotates the recorded trace under rc and fans every event out
-// to the consumers, bit-identical to a live run but without the
-// interpreter. It rebuilds the benchmark's memory image so consumers that
-// read program memory observe exactly the live-run contents; replays of one
-// Capture are independent and may run concurrently.
-func (cp *Capture) Replay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := cp.NewMemory()
-	if err != nil {
-		return err
-	}
-	return cp.ReplayOn(ctx, m, rc, consumers...)
-}
-
-// ReplayOn is Replay over a caller-supplied memory image, the hook for
-// consumers built around a shared *mem.Memory (activity collectors read
-// cache-line contents at fill time). m must be the benchmark's initial
-// image (NewMemory); ReplayOn applies the trace's stores to it in program
-// order, each just before its event is fanned out, mirroring the live
-// step-then-consume sequence.
-func (cp *Capture) ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
-	ifb := cp.ifBytes(rc)
-	n := len(cp.slot)
-	for i := 0; i < n; i++ {
-		if i&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("trace: replaying %s aborted after %d instructions: %w", cp.bench.Name, i, ctx.Err())
-			default:
-			}
-		}
-		sw := cp.slot[i]
-		st := &cp.statics[sw&SlotMask]
-		var ev Event
-		e := &ev.Exec
-		e.PC = cp.pc[i]
-		e.Raw = st.Inst.Raw
-		e.Inst = st.Inst
-		e.SrcA, e.ReadsA = cp.srcA[i], st.ReadsA
-		e.SrcB, e.ReadsB = cp.srcB[i], st.ReadsB
-		if st.HasDest {
-			e.Dest, e.Result, e.HasDest = st.Dest, cp.result[i], true
-		}
-		e.Taken = sw&TakenBit != 0
-		if i+1 < n {
-			e.NextPC = cp.pc[i+1]
-		} else {
-			e.NextPC = cp.lastNextPC
-		}
-		if st.MemWidth > 0 {
-			e.Addr = e.SrcA + st.Simm
-			e.MemWidth = int(st.MemWidth)
-			if st.IsStore {
-				e.StoreVal = e.SrcB
-				if m != nil {
-					switch st.MemWidth {
-					case 1:
-						m.Store8(e.Addr, byte(e.SrcB))
-					case 2:
-						m.Store16(e.Addr, uint16(e.SrcB))
-					default:
-						m.Store32(e.Addr, e.SrcB)
-					}
-				}
-			} else {
-				e.Loaded = cp.result[i]
-			}
-		}
-		s := cp.sig[i]
-		ev.IFBytes = int(ifb[sw&SlotMask])
-		ev.SrcBytesA = int(s >> sigSrcBytesAShift & 7)
-		ev.SrcBytesB = int(s >> sigSrcBytesBShift & 7)
-		ev.SrcHalvesA = int(s >> sigSrcHalvesAShift & 3)
-		ev.SrcHalvesB = int(s >> sigSrcHalvesBShift & 3)
-		ev.ALUOps = int(s >> sigALUOpsShift & 15)
-		ev.ALUHalfOps = int(s >> sigALUHalfShift & 7)
-		ev.MemBytes = int(s >> sigMemBytesShift & 7)
-		ev.MemHalves = int(s >> sigMemHalvesShift & 3)
-		ev.WBBytes = int(s >> sigWBBytesShift & 7)
-		ev.WBHalves = int(s >> sigWBHalvesShift & 3)
-		for _, cons := range consumers {
-			cons.Consume(ev)
-		}
-	}
-	return nil
 }

@@ -33,42 +33,43 @@ type eventRecorder struct{ events []trace.Event }
 
 func (r *eventRecorder) Consume(e trace.Event) { r.events = append(r.events, e) }
 
+// replayWithMemory replays rep over a freshly rebuilt memory image, the
+// way the suite drives a capture: plain consumers such as eventRecorder
+// ride the scalar shim and see every reconstructed Event.
+func replayWithMemory(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, consumers ...trace.Consumer) error {
+	m, err := rep.NewMemory()
+	if err != nil {
+		return err
+	}
+	return rep.ReplayBlocksOn(ctx, m, rc, consumers...)
+}
+
 // TestReplayBitIdentical replays a captured trace and demands exact Event
 // equality — every cpu.Exec field and every significance quantity — with
-// the live run, for a capture built by CaptureRun and for one recorded by
-// riding along the live run as a Consumer.
+// the live run.
 func TestReplayBitIdentical(t *testing.T) {
 	rc := defaultRecoder(t)
 	for _, name := range captureTestBenches {
 		b := mustBench(t, name)
 		live := &eventRecorder{}
-		rideAlong := trace.NewCapture(b)
-		if _, err := trace.Run(b, rc, live, rideAlong); err != nil {
+		if _, err := trace.Run(b, rc, live); err != nil {
 			t.Fatalf("%s: live run: %v", name, err)
 		}
-
-		captured, err := trace.CaptureRun(context.Background(), b)
+		cp, err := trace.CaptureRun(context.Background(), b)
 		if err != nil {
 			t.Fatalf("%s: CaptureRun: %v", name, err)
 		}
-		if captured.Len() != len(live.events) {
-			t.Fatalf("%s: capture has %d events, live run %d", name, captured.Len(), len(live.events))
+		replayed := &eventRecorder{}
+		if err := replayWithMemory(context.Background(), cp, rc, replayed); err != nil {
+			t.Fatalf("%s: replay: %v", name, err)
 		}
-
-		for whose, cp := range map[string]*trace.Capture{"CaptureRun": captured, "ride-along": rideAlong} {
-			replayed := &eventRecorder{}
-			if err := cp.Replay(context.Background(), rc, replayed); err != nil {
-				t.Fatalf("%s: replay (%s): %v", name, whose, err)
-			}
-			if len(replayed.events) != len(live.events) {
-				t.Fatalf("%s: replay (%s) produced %d events, live %d",
-					name, whose, len(replayed.events), len(live.events))
-			}
-			for i := range live.events {
-				if !reflect.DeepEqual(replayed.events[i], live.events[i]) {
-					t.Fatalf("%s: replay (%s) event %d differs:\n live   %+v\n replay %+v",
-						name, whose, i, live.events[i], replayed.events[i])
-				}
+		if len(replayed.events) != len(live.events) {
+			t.Fatalf("%s: replay produced %d events, live %d", name, len(replayed.events), len(live.events))
+		}
+		for i := range live.events {
+			if !reflect.DeepEqual(replayed.events[i], live.events[i]) {
+				t.Fatalf("%s: replay event %d differs:\n live   %+v\n replay %+v",
+					name, i, live.events[i], replayed.events[i])
 			}
 		}
 	}
@@ -100,7 +101,9 @@ func TestReplayActivityIdentical(t *testing.T) {
 				t.Fatalf("%s: NewMemory: %v", name, err)
 			}
 			replayCol := activity.NewCollector(gran, rc, m)
-			if err := cp.ReplayOn(context.Background(), m, rc, replayCol); err != nil {
+			// The scalar Consume, through the shim: the same collector code
+			// as the live run, so only event reconstruction is under test.
+			if err := cp.ReplayBlocksOn(context.Background(), m, rc, trace.ConsumerFunc(replayCol.Consume)); err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
 			if got, want := replayCol.Counts(), liveCol.Counts(); !reflect.DeepEqual(got, want) {
@@ -162,7 +165,7 @@ func TestReplaySecondRecoder(t *testing.T) {
 		t.Fatalf("SuiteRecoder: %v", err)
 	}
 	checked := 0
-	err = cp.Replay(context.Background(), rc2, trace.ConsumerFunc(func(e trace.Event) {
+	err = cp.ReplayBlocks(context.Background(), rc2, trace.ConsumerFunc(func(e trace.Event) {
 		if want := rc2.FetchBytes(e.Raw); e.IFBytes != want {
 			t.Fatalf("event %d: IFBytes %d, want %d", checked, e.IFBytes, want)
 		}
@@ -189,7 +192,7 @@ func TestCaptureReplayCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureRun: %v", err)
 	}
-	if err := cp.Replay(ctx, defaultRecoder(t)); err == nil {
-		t.Error("Replay under cancelled context succeeded")
+	if err := cp.ReplayBlocks(ctx, defaultRecoder(t)); err == nil {
+		t.Error("replay under cancelled context succeeded")
 	}
 }

@@ -2,63 +2,71 @@ package trace_test
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/icomp"
 	"repro/internal/trace"
 )
 
-// The trace reader must never panic on arbitrary bytes: bad magic,
-// truncated records and garbage all surface as errors.
+// FuzzReaderNoPanic throws arbitrary bytes at the mapped reader: the bytes
+// become a capture file, and whatever OpenMappedCapture accepts is
+// replayed over a memory image. Bad magic, truncation and garbage frames
+// must all surface as errors — the replay of an accepted file included —
+// never as a panic.
 func FuzzReaderNoPanic(f *testing.F) {
-	f.Add([]byte("SIGTRC01"))
-	f.Add([]byte("SIGTRC01" + "short"))
-	f.Add([]byte("WRONGMAG........"))
+	golden, err := os.ReadFile(goldenCapture)
+	if err != nil {
+		f.Fatalf("seed %s: %v", goldenCapture, err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	flipped := bytes.Clone(golden)
+	flipped[len(flipped)/2] ^= 0x04 // inside a frame: open succeeds, replay must not
+	f.Add(flipped)
 	f.Add(bytes.Repeat([]byte{0xa5}, 100))
+	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := trace.NewReader(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "dijkstra"+trace.CapFileExt)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mc, err := trace.OpenMappedCapture(path)
 		if err != nil {
 			return
 		}
-		for i := 0; i < 1000; i++ {
-			_, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
+		defer mc.Close()
+		replayWithMemory(context.Background(), mc, rc, trace.ConsumerFunc(func(trace.Event) {}))
 	})
 }
 
-// FuzzReadCapture throws arbitrary bytes at the persisted-capture decoder
-// (both SIGCAP01 and SIGCAP02, dispatched on magic): decode must never
-// panic, and any input it accepts must re-encode to a canonical fixed
-// point — enc(dec(input)) decoded and encoded again is byte-identical.
-// (The input itself need not re-encode identically: non-canonical varints
-// decode fine but are written back in canonical form.) Seeded with both
-// committed golden captures so the corpus starts from valid files of each
-// format.
+// FuzzReadCapture throws arbitrary bytes at the capture decoder: decode
+// must never panic, and any input it accepts must re-encode to a canonical
+// fixed point — enc(dec(input)) decoded and encoded again is
+// byte-identical. (The input itself need not re-encode identically:
+// non-canonical varints decode fine but are written back in canonical
+// form.) Seeded with the committed golden capture and damaged variants of
+// it, so the corpus starts from a valid file and its error paths.
 func FuzzReadCapture(f *testing.F) {
-	for _, golden := range []string{
-		filepath.Join("testdata", "dijkstra"+trace.CapFileExt),
-		filepath.Join("testdata", "dijkstra"+trace.CapFileExt+"2"),
-	} {
-		data, err := os.ReadFile(golden)
-		if err != nil {
-			f.Fatalf("seed %s: %v", golden, err)
-		}
-		f.Add(data)
-		// A truncated and a bit-flipped variant steer early coverage
-		// toward the error paths.
-		f.Add(data[:len(data)/3])
-		flipped := bytes.Clone(data)
-		flipped[len(flipped)/2] ^= 0x04
-		f.Add(flipped)
+	golden, err := os.ReadFile(goldenCapture)
+	if err != nil {
+		f.Fatalf("seed %s: %v", goldenCapture, err)
 	}
+	f.Add(golden)
+	// Truncated and bit-flipped variants steer early coverage toward the
+	// error paths: a frame cut, a lost tail, a damaged footer, and the
+	// retired SIGCAP01 magic over an otherwise valid body.
+	f.Add(golden[:len(golden)/3])
+	flipped := bytes.Clone(golden)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(flipped)
+	f.Add(golden[:len(golden)-20])
+	footer := bytes.Clone(golden)
+	footer[len(footer)-30] ^= 0x04
+	f.Add(footer)
+	f.Add(append([]byte("SIGCAP01"), golden[8:]...))
 	f.Add([]byte("SIGCAP01"))
 	f.Add([]byte("SIGCAP02"))
 	f.Add([]byte("SIGCAP02........SIGCAP02"))
@@ -67,16 +75,8 @@ func FuzzReadCapture(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted input: re-encode in the same format the input carried,
-		// then demand decode∘encode is a fixed point.
-		var enc func(*trace.Capture, *bytes.Buffer) error
-		if bytes.HasPrefix(data, []byte("SIGCAP02")) {
-			enc = func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo2(buf); return err }
-		} else {
-			enc = func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo(buf); return err }
-		}
 		var first bytes.Buffer
-		if err := enc(cp, &first); err != nil {
+		if _, err := cp.WriteTo2(&first); err != nil {
 			t.Fatalf("re-encoding accepted capture: %v", err)
 		}
 		cp2, err := trace.ReadCaptureFrom(bytes.NewReader(first.Bytes()))
@@ -84,7 +84,7 @@ func FuzzReadCapture(f *testing.F) {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		var second bytes.Buffer
-		if err := enc(cp2, &second); err != nil {
+		if _, err := cp2.WriteTo2(&second); err != nil {
 			t.Fatalf("re-encoding second pass: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

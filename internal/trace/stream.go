@@ -16,13 +16,18 @@ package trace
 // a transient error — the file is still on disk, reopening succeeds) but
 // the unmap itself is deferred until the last in-flight replay releases its
 // reference, so cache eviction can never pull pages out from under a frame
-// decode.
+// decode. A file truncated or rewritten in place under a live mapping is
+// outside that contract; the frame decode catches the resulting memory
+// fault and fails the replay with a *CorruptError instead of the process.
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/bench"
@@ -49,7 +54,7 @@ func (*mappedClosedError) Transient() bool { return true }
 // the statics table, and per-recoder memos — the columns stay on disk
 // until a frame decode touches them.
 type MappedCapture struct {
-	ix   *cap2Index
+	ix   *capIndex
 	f    *os.File
 	data []byte // whole-file mapping; nil on the io.ReaderAt fallback
 	memo ifbMemo
@@ -75,7 +80,7 @@ func OpenMappedCapture(path string) (*MappedCapture, error) {
 		f.Close()
 		return nil, err
 	}
-	ix, err := openCap2Index(f, fi.Size())
+	ix, err := openCapIndex(f, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -90,6 +95,26 @@ func OpenMappedCapture(path string) (*MappedCapture, error) {
 	}
 	// Backstop for leaked handles; the cache closes explicitly on evict.
 	runtime.SetFinalizer(mc, (*MappedCapture).Close)
+	return mc, nil
+}
+
+// OpenCaptureFor maps b's capture file in dir (CaptureFilePath) and
+// checks that it records b. The file names its benchmark, but the caller's
+// suite is authoritative: a capture whose name or checksum diverges would
+// replay the wrong trace, so it is refused as a *CorruptError. This is the
+// one validity check for a trace dir. A missing file reports
+// fs.ErrNotExist; any other error means the file is there but unusable,
+// and the caller should replace it with a fresh capture.
+func OpenCaptureFor(dir string, b bench.Benchmark) (*MappedCapture, error) {
+	mc, err := OpenMappedCapture(CaptureFilePath(dir, b.Name))
+	if err != nil {
+		return nil, err
+	}
+	if got := mc.Bench(); got.Name != b.Name || got.Checksum != b.Checksum {
+		mc.Close()
+		return nil, &CorruptError{Format: capMagic, Reason: fmt.Sprintf(
+			"records %s (checksum %#08x), want %s (%#08x)", got.Name, got.Checksum, b.Name, b.Checksum)}
+	}
 	return mc, nil
 }
 
@@ -109,10 +134,6 @@ func (mc *MappedCapture) Frames() int { return len(mc.ix.frames) }
 // io.ReaderAt fallback).
 func (mc *MappedCapture) Mapped() bool { return mc.data != nil }
 
-// FileSizeBytes returns the on-disk capture size (what the page cache may
-// hold, shared machine-wide — not a per-handle resident cost).
-func (mc *MappedCapture) FileSizeBytes() int64 { return mc.ix.size }
-
 // SizeBytes estimates the handle's resident memory: footer index, statics
 // table, one replay's decode buffers, and the per-recoder memos. Mapped
 // column pages are deliberately excluded — they are clean, evictable, and
@@ -122,9 +143,6 @@ func (mc *MappedCapture) SizeBytes() int {
 	return mc.ix.indexSizeBytes() + frameDecSizeBytes(len(mc.ix.statics)) +
 		mc.memo.sizeBytes(len(mc.ix.statics))
 }
-
-// ClearMemos drops memoized per-recoder fetch-size tables.
-func (mc *MappedCapture) ClearMemos() { mc.memo.clear() }
 
 // NewMemory rebuilds the benchmark's initial memory image.
 func (mc *MappedCapture) NewMemory() (*mem.Memory, error) {
@@ -195,12 +213,12 @@ func (mc *MappedCapture) unmap() error {
 // share mutable state.
 type frameDec struct {
 	cols [6][]uint32
-	sc   *cap2Scratch
+	sc   *capScratch
 	raw  []byte
 }
 
 func newFrameDec(nStatics int) *frameDec {
-	d := &frameDec{sc: newCap2Scratch(nStatics)}
+	d := &frameDec{sc: newCapScratch(nStatics)}
 	backing := make([]uint32, 6*FrameRows)
 	for i := range d.cols {
 		d.cols[i] = backing[i*FrameRows : (i+1)*FrameRows]
@@ -214,27 +232,30 @@ func frameDecSizeBytes(nStatics int) int {
 	return 6*FrameRows*4 + 4*nStatics*4 + (FrameRows+7)/8
 }
 
-// framePayload returns frame f's raw bytes: a zero-copy slice of the
-// mapping, or a positional read into the replay's reuse buffer.
-func (mc *MappedCapture) framePayload(f int, d *frameDec) ([]byte, error) {
-	fr := mc.ix.frames[f]
+// framePayload returns fr's raw bytes: a zero-copy slice of the mapping,
+// or a positional read into *raw, grown as needed. A file that has shrunk
+// under the handle reads short, which is corruption like any other.
+func (mc *MappedCapture) framePayload(fr capFrame, raw *[]byte) ([]byte, error) {
 	if mc.data != nil {
 		return mc.data[fr.off : fr.off+int64(fr.len)], nil
 	}
-	if int(fr.len) > cap(d.raw) {
-		d.raw = make([]byte, fr.len)
+	if int(fr.len) > cap(*raw) {
+		*raw = make([]byte, fr.len)
 	}
-	b := d.raw[:fr.len]
+	b := (*raw)[:fr.len]
 	if _, err := mc.f.ReadAt(b, fr.off); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, &CorruptError{Format: capMagic, Reason: fmt.Sprintf("frame at offset %d truncated", fr.off)}
+		}
 		return nil, err
 	}
 	return b, nil
 }
 
-// replayFrames is the single replay engine behind every MappedCapture
-// replay flavor: decode frame, CRC-checked, into the replay's buffers,
-// then fan it out through the shared emitSpans — one frame is exactly one
-// block, so consumers see the same boundaries as Capture.ReplayBlocksOn.
+// replayFrames is the replay engine behind both MappedCapture replay
+// flavors: decode frame, CRC-checked, into the replay's buffers, then fan
+// it out through the shared emitSpans — one frame is exactly one block,
+// so consumers see the same boundaries as Capture.ReplayBlocksOn.
 func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, sinks []BatchConsumer) error {
 	if err := mc.acquire(); err != nil {
 		return err
@@ -243,7 +264,6 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 	ifb := mc.memo.tableFor(rc, mc.ix.statics)
 	d := newFrameDec(len(mc.ix.statics))
 	blk := Block{Statics: mc.ix.statics, IFB: ifb}
-	nStatics := uint64(len(mc.ix.statics))
 	for f := range mc.ix.frames {
 		select {
 		case <-ctx.Done():
@@ -253,14 +273,8 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 		}
 		lo, hi := mc.ix.frameSpan(f)
 		rows := hi - lo
-		payload, err := mc.framePayload(f, d)
-		if err != nil {
-			return fmt.Errorf("trace: reading %s frame %d: %w", mc.ix.b.Name, f, err)
-		}
-		if err := decodeCap2Frame(payload, mc.ix.frames[f], nStatics,
-			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
-			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows], d.sc); err != nil {
-			return fmt.Errorf("trace: replaying %s: %w", mc.ix.b.Name, err)
+		if err := mc.decodeFrame(f, d, rows); err != nil {
+			return fmt.Errorf("trace: replaying %s frame %d: %w", mc.ix.b.Name, f, err)
 		}
 		emitSpans(&blk, m, sinks, lo,
 			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
@@ -270,31 +284,35 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 	return nil
 }
 
-// Replay streams the capture to the consumers under rc, rebuilding the
-// benchmark's memory image first; see Capture.Replay for the contract.
-func (mc *MappedCapture) Replay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := mc.NewMemory()
+// decodeFrame decodes frame f's rows into d's column buffers. Only the
+// decode reads the mapped bytes during a replay, so only it runs with
+// memory faults turned into panics: a file truncated under the mapping
+// raises SIGBUS on the vanished pages, which would otherwise kill the
+// process; here it fails the replay with a *CorruptError.
+func (mc *MappedCapture) decodeFrame(f int, d *frameDec, rows int) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverMappedFault(&err)
+	payload, err := mc.framePayload(mc.ix.frames[f], &d.raw)
 	if err != nil {
 		return err
 	}
-	return mc.ReplayOn(ctx, m, rc, consumers...)
+	return decodeFrame(payload, mc.ix.frames[f], uint64(len(mc.ix.statics)),
+		d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
+		d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows], d.sc)
 }
 
-// ReplayOn is scalar (event-at-a-time) streaming replay over a caller
-// memory image: every consumer is driven through the scalar shim, exactly
-// like Capture.ReplayOn drives them directly.
-func (mc *MappedCapture) ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
-	return mc.replayFrames(ctx, m, rc, []BatchConsumer{&scalarShim{consumers: consumers}})
-}
-
-// BatchReplay is batch streaming replay over a freshly rebuilt memory
-// image; see Capture.BatchReplay for the contract.
-func (mc *MappedCapture) BatchReplay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := mc.NewMemory()
-	if err != nil {
-		return err
+// recoverMappedFault, deferred under debug.SetPanicOnFault(true), turns a
+// memory fault on the mapping (a runtime error carrying the faulting
+// address) into a *CorruptError in *err. Any other panic propagates.
+func recoverMappedFault(err *error) {
+	r := recover()
+	if r == nil {
+		return
 	}
-	return mc.ReplayBlocksOn(ctx, m, rc, consumers...)
+	if _, ok := r.(interface{ Addr() uintptr }); !ok {
+		panic(r)
+	}
+	*err = &CorruptError{Format: capMagic, Reason: "fault reading mapped frame"}
 }
 
 // ReplayBlocks is batch streaming replay without a memory image.
@@ -310,26 +328,17 @@ func (mc *MappedCapture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *
 
 // Materialize eagerly decodes the whole capture into a resident *Capture,
 // for callers that need the dense tier (e.g. a capture promoted back off
-// disk for repeated tight-loop replays).
-func (mc *MappedCapture) Materialize() (*Capture, error) {
+// disk for repeated tight-loop replays). Faults on the mapping surface as
+// a *CorruptError, as in replay.
+func (mc *MappedCapture) Materialize() (cp *Capture, err error) {
 	if err := mc.acquire(); err != nil {
 		return nil, err
 	}
 	defer mc.release()
-	d := newFrameDec(len(mc.ix.statics))
-	return mc.ix.decodeAll(func(fr cap2Frame) ([]byte, error) {
-		if mc.data != nil {
-			return mc.data[fr.off : fr.off+int64(fr.len)], nil
-		}
-		if int(fr.len) > cap(d.raw) {
-			d.raw = make([]byte, fr.len)
-		}
-		b := d.raw[:fr.len]
-		if _, err := mc.f.ReadAt(b, fr.off); err != nil {
-			return nil, err
-		}
-		return b, nil
-	})
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer recoverMappedFault(&err)
+	var raw []byte
+	return mc.ix.decodeAll(func(fr capFrame) ([]byte, error) { return mc.framePayload(fr, &raw) })
 }
 
 // Interface conformance for both residency tiers.

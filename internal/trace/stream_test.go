@@ -34,8 +34,7 @@ func mappedForTest(t *testing.T, name string) (*trace.Capture, *trace.MappedCapt
 
 // TestStreamReplayIdentical is the tentpole equivalence gate: streaming
 // replay off the mapped file must produce exactly the event stream the
-// fully resident capture produces — scalar and batch flavors both —
-// including the memory-dependent fields whose store ordering crosses frame
+// fully resident capture produces, including the memory-dependent fields whose store ordering crosses frame
 // boundaries (the suite's traces span many 4096-row frames, so store spans
 // straddling a frame edge are exercised by construction).
 func TestStreamReplayIdentical(t *testing.T) {
@@ -51,11 +50,11 @@ func TestStreamReplayIdentical(t *testing.T) {
 			t.Fatalf("%s: %d frames, want %d", name, mc.Frames(), want)
 		}
 		var resident, streamed eventRecorder
-		if err := cp.BatchReplay(ctx, rc, &resident); err != nil {
-			t.Fatalf("%s resident batch replay: %v", name, err)
+		if err := replayWithMemory(ctx, cp, rc, &resident); err != nil {
+			t.Fatalf("%s resident replay: %v", name, err)
 		}
-		if err := mc.BatchReplay(ctx, rc, &streamed); err != nil {
-			t.Fatalf("%s streamed batch replay: %v", name, err)
+		if err := replayWithMemory(ctx, mc, rc, &streamed); err != nil {
+			t.Fatalf("%s streamed replay: %v", name, err)
 		}
 		if len(resident.events) != len(streamed.events) {
 			t.Fatalf("%s: resident %d events, streamed %d", name, len(resident.events), len(streamed.events))
@@ -65,15 +64,6 @@ func TestStreamReplayIdentical(t *testing.T) {
 				t.Fatalf("%s: event %d diverges (frame %d, row %d)\nresident: %+v\nstreamed: %+v",
 					name, i, i/trace.FrameRows, i%trace.FrameRows,
 					resident.events[i], streamed.events[i])
-			}
-		}
-		var scalar eventRecorder
-		if err := mc.Replay(ctx, rc, &scalar); err != nil {
-			t.Fatalf("%s streamed scalar replay: %v", name, err)
-		}
-		for i := range resident.events {
-			if resident.events[i] != scalar.events[i] {
-				t.Fatalf("%s: scalar event %d diverges", name, i)
 			}
 		}
 	}
@@ -121,10 +111,10 @@ func TestStreamMaterialize(t *testing.T) {
 		t.Fatalf("Materialize: %v", err)
 	}
 	var want, got eventRecorder
-	if err := cp.BatchReplay(ctx, rc, &want); err != nil {
+	if err := replayWithMemory(ctx, cp, rc, &want); err != nil {
 		t.Fatalf("resident replay: %v", err)
 	}
-	if err := dense.BatchReplay(ctx, rc, &got); err != nil {
+	if err := replayWithMemory(ctx, dense, rc, &got); err != nil {
 		t.Fatalf("materialized replay: %v", err)
 	}
 	if len(want.events) != len(got.events) {
@@ -185,7 +175,7 @@ func TestStreamConcurrentReplays(t *testing.T) {
 	want := make([]*eventRecorder, len(rcs))
 	for i, rc := range rcs {
 		want[i] = &eventRecorder{}
-		if err := cp.BatchReplay(ctx, rc, want[i]); err != nil {
+		if err := replayWithMemory(ctx, cp, rc, want[i]); err != nil {
 			t.Fatalf("resident replay %d: %v", i, err)
 		}
 	}
@@ -197,7 +187,7 @@ func TestStreamConcurrentReplays(t *testing.T) {
 		got[i] = &eventRecorder{}
 		go func(i int, rc *icomp.Recoder) {
 			defer wg.Done()
-			errs[i] = mc.BatchReplay(ctx, rc, got[i])
+			errs[i] = replayWithMemory(ctx, mc, rc, got[i])
 		}(i, rc)
 	}
 	wg.Wait()
@@ -310,5 +300,42 @@ func TestStreamCorruptFrame(t *testing.T) {
 	var ce *trace.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("replay of corrupt frame: %v, want CorruptError", err)
+	}
+}
+
+// TestReaderDetectsTruncation truncates a mapped capture file in the middle
+// of a replay, as an operator emptying the trace dir or a rewrite in place
+// would. The frames past the new end vanish from under the mapping (SIGBUS
+// on access); the replay must fail with a *CorruptError instead of taking
+// the process down.
+func TestReaderDetectsTruncation(t *testing.T) {
+	cp, err := trace.CaptureRun(context.Background(), mustBench(t, captureTestBenches[0]))
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	path, err := trace.WriteCaptureFile(t.TempDir(), cp)
+	if err != nil {
+		t.Fatalf("WriteCaptureFile: %v", err)
+	}
+	mc, err := trace.OpenMappedCapture(path)
+	if err != nil {
+		t.Fatalf("OpenMappedCapture: %v", err)
+	}
+	defer mc.Close()
+	if mc.Frames() < 2 {
+		t.Skipf("trace too short (%d frames) to truncate mid-replay", mc.Frames())
+	}
+	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
+	var once sync.Once
+	var truncErr error
+	err = mc.ReplayBlocks(context.Background(), rc, trace.ConsumerFunc(func(trace.Event) {
+		once.Do(func() { truncErr = os.Truncate(path, 0) })
+	}))
+	if truncErr != nil {
+		t.Fatalf("truncate: %v", truncErr)
+	}
+	var ce *trace.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("replay of a file truncated mid-replay (mapped=%v): %v, want CorruptError", mc.Mapped(), err)
 	}
 }
