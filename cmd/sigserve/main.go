@@ -49,8 +49,8 @@
 //
 //	-trace-cache-mb N      memory budget for the LRU of captured benchmark
 //	                       traces (capture once, replay for every model;
-//	                       0 = 256 MB default, negative disables replay and
-//	                       re-interprets every request)
+//	                       0 = 256 MB default; negative is a usage error,
+//	                       since capture/replay cannot be disabled)
 //	-trace-dir DIR         back the trace cache with a directory of SIGCAP02
 //	                       capture files: new captures persist there,
 //	                       evicted captures demote to disk, and cache misses
@@ -109,7 +109,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", simsvc.DefaultBreakerThreshold,
 		"consecutive failures before a (bench, model) pair is quarantined (0 = disabled)")
 	traceCacheMB := flag.Int("trace-cache-mb", 0,
-		"captured-trace LRU budget in MB (0 = 256 MB default, <0 disables capture/replay)")
+		"captured-trace LRU budget in MB (0 = 256 MB default)")
 	traceDir := flag.String("trace-dir", "",
 		"directory for persisted SIGCAP02 captures (spill on evict, reload on miss; empty = in-memory only)")
 	programMaxSourceKB := flag.Int("program-max-source-kb", 0,
@@ -132,6 +132,11 @@ func main() {
 	chaos := flag.String("chaos", "", "DEV ONLY: fault-injection spec, seed:point=kind[(dur)][@prob],... (see internal/faultinject)")
 	flag.Parse()
 
+	if *traceCacheMB < 0 {
+		fmt.Fprintf(os.Stderr, "sigserve: -trace-cache-mb %d: capture/replay can no longer be disabled; use 0 for the %d MB default or a positive budget\n",
+			*traceCacheMB, simsvc.DefaultTraceCacheMB)
+		os.Exit(2)
+	}
 	var faults *faultinject.Injector
 	if *chaos != "" {
 		var err error

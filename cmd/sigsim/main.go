@@ -9,8 +9,11 @@
 //	sigsim -bench crc32 -model byteserial
 //	sigsim -bench crc32 -json         # machine-readable (sigserve schema)
 //	sigsim -bench all -parallel 4     # full-suite evaluation, 4 workers
-//	sigsim -bench all -replay=false   # re-interpret per model (reference path)
 //	sigsim -bench crc32 -capture-dir ./caps   # persist/reuse SIGCAP02 captures (mapped + streamed)
+//
+// Every run interprets each benchmark once into a captured trace and
+// replays it through the models and collectors; -capture-dir only decides
+// whether that capture is persisted and reused across runs.
 package main
 
 import (
@@ -25,7 +28,6 @@ import (
 	"repro/internal/activity"
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -36,9 +38,7 @@ func main() {
 	modelName := flag.String("model", "", "pipeline model (default: all)")
 	pipeDiagram := flag.Int("pipe", 0, "render a pipeline diagram of the first N instructions (requires -model)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results (the schema shared with sigserve)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "benchmark-level worker count for -bench all (1 = sequential)")
-	replay := flag.Bool("replay", true,
-		"for -bench all: interpret each benchmark once and replay the captured trace per model (false = re-interpret, the reference path)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "benchmark-level worker count for -bench all")
 	captureDir := flag.String("capture-dir", "",
 		"directory of SIGCAP02 captures: replay a single -bench from its persisted capture (mapped and streamed), interpreting and persisting it on first use")
 	fetchSweep := flag.Bool("fetchsweep", false,
@@ -69,7 +69,7 @@ func main() {
 	}
 
 	if *benchName == "all" {
-		runSuite(*parallel, *jsonOut, *replay)
+		runSuite(*parallel, *jsonOut)
 		return
 	}
 
@@ -99,32 +99,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	// With -capture-dir the job replays a persisted capture over column
-	// blocks (interpreting and persisting it on first use); otherwise it
-	// interprets live. Both paths are bit-identical.
-	var (
-		cp     trace.Replayer
-		runMem *mem.Memory
-	)
-	c, err := b.NewCPU()
+	var cp trace.Replayer
+	if *captureDir != "" {
+		cp, err = loadOrCapture(*captureDir, b)
+	} else {
+		cp, err = trace.CaptureRun(context.Background(), b)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
 		os.Exit(1)
 	}
-	runMem = c.Mem
-	if *captureDir != "" {
-		cp, err = loadOrCapture(*captureDir, b)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		// The collectors read program memory; give them a fresh image the
-		// replay applies the captured stores to.
-		runMem, err = cp.NewMemory()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
+	// The collectors read program memory; give them a fresh image the
+	// replay applies the captured stores to.
+	runMem, err := cp.NewMemory()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
+		os.Exit(1)
 	}
 	consumers := make([]trace.Consumer, 0, len(models)+2)
 	var timeline *pipeline.Timeline
@@ -147,20 +137,13 @@ func main() {
 		consumers = append(consumers, halfCol)
 	}
 
-	retired := uint64(0)
-	if cp != nil {
-		if err := cp.ReplayBlocksOn(context.Background(), runMem, rc, consumers...); err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		retired = uint64(cp.Len())
-	} else {
-		if err := trace.RunOn(c, b, rc, consumers...); err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		retired = c.Retired
+	// A model with a -pipe timeline observer takes the scalar per-event
+	// fallback inside the block replay, so the diagram sees every event.
+	if err := cp.ReplayBlocksOn(context.Background(), runMem, rc, consumers...); err != nil {
+		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
+		os.Exit(1)
 	}
+	retired := uint64(cp.Len())
 
 	if *jsonOut {
 		br := experiments.BenchResult{
@@ -264,19 +247,13 @@ func loadOrCapture(dir string, b bench.Benchmark) (trace.Replayer, error) {
 	return cp, nil
 }
 
-// runSuite executes the full evaluation (every benchmark through every
-// model) with benchmark-level parallelism and prints a per-benchmark CPI
-// table, or the complete machine-readable evaluation with -json. With
-// replay (the default) each benchmark is interpreted once into a captured
-// trace that is replayed per model; both paths produce byte-identical
-// output.
-func runSuite(workers int, jsonOut, replay bool) {
-	fmt.Fprintf(os.Stderr, "sigsim: running the full suite (%d workers, replay=%v)...\n", workers, replay)
-	run := experiments.RunSuite
-	if !replay {
-		run = experiments.RunSuiteLive
-	}
-	r, err := run(context.Background(), bench.All(), workers)
+// runSuite executes the full evaluation (every benchmark captured once and
+// replayed through every model) with benchmark-level parallelism and prints
+// a per-benchmark CPI table, or the complete machine-readable evaluation
+// with -json.
+func runSuite(workers int, jsonOut bool) {
+	fmt.Fprintf(os.Stderr, "sigsim: running the full suite (%d workers)...\n", workers)
+	r, err := experiments.RunSuite(context.Background(), bench.All(), workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
 		os.Exit(1)

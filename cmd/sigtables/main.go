@@ -25,7 +25,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate (all, table1, table2, table3, table4, table5, table6, fig4, fig6, fig8, fig10, bottleneck, ablation-scheme, ablation-bp, ablation-partition, energy, bm-baseline, cachesweep, interpretation, fetch)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit the whole evaluation as JSON")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "benchmark-level worker count for the evaluation (1 = sequential)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "benchmark-level worker count for the evaluation")
 	flag.Parse()
 
 	fmt.Fprintf(os.Stderr, "running the full suite through every model (%d workers)...\n", *parallel)

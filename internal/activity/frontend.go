@@ -84,8 +84,9 @@ func (f *FrontendStats) consume(inst isa.Inst, ifBytes int, readsA, readsB, hasD
 // EndRun clears the adjacency state at a benchmark boundary. A shared
 // collector fed benchmarks back-to-back must not pair the last instruction
 // of one benchmark with the first of the next, or its tally would diverge
-// from per-benchmark collectors merged afterwards — the suite evaluation
-// runs both ways and asserts bit-identity.
+// from per-benchmark collectors merged afterwards (a test feeds one shared
+// collector set benchmark by benchmark and asserts bit-identity with the
+// suite evaluation).
 func (f *FrontendStats) EndRun() {
 	f.prevOK, f.prevMem, f.prevHasDest, f.prevDest = false, false, false, 0
 }

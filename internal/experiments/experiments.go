@@ -172,9 +172,9 @@ func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteC
 	// not leave a partially-filled collector in the results map.
 	if suite != nil {
 		suite.BM[name] = bmCol
-		// Pairing adjacency must not span benchmarks: a shared sequential
-		// collector set has to tally exactly what per-benchmark sets merged
-		// afterwards would.
+		// Pairing adjacency must not span benchmarks: a collector set shared
+		// across benchmarks has to tally exactly what per-benchmark sets
+		// merged afterwards would.
 		suite.Frontend.EndRun()
 	}
 	br := BenchResult{
@@ -204,9 +204,8 @@ func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteC
 // the branch-prediction ablation variants) and every activity collector,
 // honoring ctx cancellation, and returns its BenchResult. When suite is
 // non-nil the suite-level collectors accumulate this benchmark's trace too.
-// This is the per-benchmark unit of work the full evaluation (sequential or
-// parallel) fans out over and the serving layer (internal/simsvc) reuses
-// instead of recomputing the whole suite.
+// It interprets live, and is the per-benchmark unit of RunSuiteLive: the
+// reference the replay-backed RunBenchReplay is tested against.
 func RunBenchCtx(ctx context.Context, b bench.Benchmark, rc *icomp.Recoder, suite *SuiteCollectors) (BenchResult, error) {
 	c, err := b.NewCPU()
 	if err != nil {
@@ -247,12 +246,9 @@ func RunBenchReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, 
 	return br, nil
 }
 
-// RunParallel executes the full evaluation with benchmark-level parallelism:
-// every benchmark runs through RunBenchCtx with its own SuiteCollectors on a
-// bounded worker group (first error cancels the rest), and the per-run
-// collectors are merged in suite order. Because collector merging is pure
-// count addition, the Results — including every rendered table and figure —
-// are bit-identical to the sequential path.
+// RunParallel is RunSuite over the whole benchmark suite. Because collector
+// merging is pure count addition, the Results — including every rendered
+// table and figure — are bit-identical for every worker count.
 func RunParallel(ctx context.Context, workers int) (*Results, error) {
 	return RunSuite(ctx, bench.All(), workers)
 }
@@ -264,9 +260,9 @@ func RunParallel(ctx context.Context, workers int) (*Results, error) {
 // replay. Results are bit-identical to RunSuiteLive (asserted by test);
 // only the interpreter redundancy is gone. Peak transient memory is the
 // captured suite, ~24 B per dynamic instruction (~90 MB for the full
-// 16-benchmark suite). workers <= 1 selects the sequential path (one shared
-// collector set, no goroutines); workers > 1 fans benchmarks across that
-// many goroutines with per-run collectors merged afterwards.
+// 16-benchmark suite). Benchmarks fan out across up to workers goroutines
+// (one is the sequential case), each with its own collectors, folded in
+// suite order afterwards.
 func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
 	caps, err := CaptureSuite(ctx, suite, workers)
 	if err != nil {
@@ -291,8 +287,7 @@ func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Resul
 // RunSuiteLive is the pre-capture evaluation path: the recoder is profiled
 // by re-running the suite and every benchmark is re-interpreted for its
 // model/collector pass. It exists as the reference the replay-backed
-// RunSuite is equivalence-tested against (and for callers that must not
-// hold captured traces in memory).
+// RunSuite (and the serving layer's suite) is equivalence-tested against.
 func RunSuiteLive(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
 	rc, functs, err := trace.SuiteRecoder(suite)
 	if err != nil {
@@ -308,16 +303,6 @@ func RunSuiteLive(ctx context.Context, suite []bench.Benchmark, workers int) (*R
 // across up to workers goroutines (first error cancels the rest).
 func CaptureSuite(ctx context.Context, suite []bench.Benchmark, workers int) ([]*trace.Capture, error) {
 	caps := make([]*trace.Capture, len(suite))
-	if workers <= 1 {
-		for i, b := range suite {
-			cp, err := trace.CaptureRun(ctx, b)
-			if err != nil {
-				return nil, err
-			}
-			caps[i] = cp
-		}
-		return caps, nil
-	}
 	err := forEachBench(ctx, len(suite), workers, func(ctx context.Context, i int) error {
 		cp, err := trace.CaptureRun(ctx, suite[i])
 		if err != nil {
@@ -332,12 +317,13 @@ func CaptureSuite(ctx context.Context, suite []bench.Benchmark, workers int) ([]
 	return caps, nil
 }
 
-// forEachBench runs fn(i) for every index across up to workers goroutines;
-// the first error cancels the remaining work and is returned.
+// forEachBench runs fn(i) for every index across up to workers goroutines
+// (at least one, which is the sequential case); the first error cancels
+// the remaining work and is returned.
 func forEachBench(ctx context.Context, n, workers int, fn func(context.Context, int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, max(workers, 1))
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -369,57 +355,64 @@ func forEachBench(ctx context.Context, n, workers int, fn func(context.Context, 
 	return ctx.Err()
 }
 
-// assembleSuite drives the per-benchmark evaluation unit (live or replay)
-// over n benchmarks and assembles the Results. workers <= 1 shares one
-// collector set sequentially; otherwise per-run collectors merge in suite
-// order afterwards (merging is order-independent for the counts; Bench rows
-// must follow suite order for the tables).
-func assembleSuite(ctx context.Context, rc *icomp.Recoder, functs map[isa.Funct]uint64, n, workers int,
-	runOne func(context.Context, int, *SuiteCollectors) (BenchResult, error)) (*Results, error) {
-	collectors := NewSuiteCollectors()
+// BenchOut is one benchmark's share of a suite evaluation: its result and
+// the private suite-level collectors its trace was fed into.
+type BenchOut struct {
+	Result BenchResult
+	Cols   *SuiteCollectors
+}
+
+// Fold assembles the Results of a suite evaluation from its per-benchmark
+// outputs, given in suite order: the Bench rows keep that order (the tables
+// follow it) and the collectors merge into one set (merging is pure count
+// addition, so the totals equal one collector set shared across the suite).
+func Fold(rc *icomp.Recoder, functs map[isa.Funct]uint64, outs []BenchOut) *Results {
+	all := NewSuiteCollectors()
 	res := &Results{
 		Recoder:    rc,
 		Functs:     functs,
-		Patterns:   collectors.Patterns,
-		Fetch:      collectors.Fetch,
-		Partitions: collectors.Partitions,
-		Width64:    collectors.Width64,
-		Frontend:   collectors.Frontend,
-		BM:         collectors.BM,
+		Patterns:   all.Patterns,
+		Fetch:      all.Fetch,
+		Partitions: all.Partitions,
+		Width64:    all.Width64,
+		Frontend:   all.Frontend,
+		BM:         all.BM,
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			br, err := runOne(ctx, i, collectors)
-			if err != nil {
-				return nil, err
-			}
-			res.Bench = append(res.Bench, br)
-		}
-		return res, nil
+	for _, o := range outs {
+		res.Bench = append(res.Bench, o.Result)
+		all.Merge(o.Cols)
 	}
+	return res
+}
 
-	type benchOut struct {
-		br   BenchResult
-		cols *SuiteCollectors
+// Insts is the total dynamic instruction count over the evaluated suite.
+func (r *Results) Insts() uint64 {
+	var n uint64
+	for _, b := range r.Bench {
+		n += b.Insts
 	}
-	outs := make([]benchOut, n)
+	return n
+}
+
+// assembleSuite drives the per-benchmark evaluation unit (live or replay)
+// over n benchmarks on up to workers goroutines, each benchmark with its
+// own collectors, and folds the outputs in suite order.
+func assembleSuite(ctx context.Context, rc *icomp.Recoder, functs map[isa.Funct]uint64, n, workers int,
+	runOne func(context.Context, int, *SuiteCollectors) (BenchResult, error)) (*Results, error) {
+	outs := make([]BenchOut, n)
 	err := forEachBench(ctx, n, workers, func(ctx context.Context, i int) error {
 		cols := NewSuiteCollectors()
 		br, err := runOne(ctx, i, cols)
 		if err != nil {
 			return err
 		}
-		outs[i] = benchOut{br: br, cols: cols}
+		outs[i] = BenchOut{Result: br, Cols: cols}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range outs {
-		res.Bench = append(res.Bench, outs[i].br)
-		collectors.Merge(outs[i].cols)
-	}
-	return res, nil
+	return Fold(rc, functs, outs), nil
 }
 
 // MeanCPI returns the arithmetic-mean CPI of one model over the suite.

@@ -10,10 +10,9 @@ import (
 	"repro/internal/icomp"
 )
 
-// TestParallelSequentialEquivalence is the tentpole acceptance check: the
-// parallel evaluation (per-run collectors merged in suite order) must render
-// byte-identical tables, figures, and summaries to the sequential
-// shared-collector path.
+// TestParallelSequentialEquivalence checks that the worker count does not
+// change the evaluation: one worker and one per benchmark render
+// byte-identical tables, figures, and summaries.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	suite := bench.All()
 	if len(suite) > 3 {
@@ -71,6 +70,45 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Bench, par.Bench) {
 		t.Error("per-benchmark results differ")
+	}
+}
+
+// TestSharedCollectorsMatchSuite feeds one SuiteCollectors set through
+// RunBenchReplay benchmark by benchmark, as a caller sharing collectors
+// across benchmarks does, and checks it encodes identically to RunSuite,
+// whose per-benchmark collectors are folded afterwards.
+func TestSharedCollectorsMatchSuite(t *testing.T) {
+	ctx := context.Background()
+	suite := replaySubset(t)
+	want, err := RunSuite(ctx, suite, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, err := CaptureSuite(ctx, suite, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := NewSuiteCollectors()
+	got := &Results{Recoder: want.Recoder, Functs: want.Functs, Patterns: shared.Patterns, Fetch: shared.Fetch,
+		Partitions: shared.Partitions, Width64: shared.Width64, Frontend: shared.Frontend, BM: shared.BM}
+	for _, cp := range caps {
+		br, err := RunBenchReplay(ctx, cp, want.Recoder, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Bench = append(got.Bench, br)
+	}
+	gotJSON, err := got.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := want.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("one shared collector set encodes differently from the folded suite (%d vs %d bytes)",
+			len(gotJSON), len(wantJSON))
 	}
 }
 

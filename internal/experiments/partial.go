@@ -80,6 +80,19 @@ type PartialSuite struct {
 	Collectors CollectorsState `json:"collectors"`
 }
 
+// Partial packages r as one shard's share of a scattered suite: its
+// encoded benchmark rows, the function-code profile its recoder came from,
+// and the raw state of its suite-level collectors.
+func (r *Results) Partial() *PartialSuite {
+	sc := &SuiteCollectors{Patterns: r.Patterns, Fetch: r.Fetch, Partitions: r.Partitions,
+		Width64: r.Width64, Frontend: r.Frontend, BM: r.BM}
+	ps := &PartialSuite{Functs: EncodeFuncts(r.Functs, r.Recoder), Collectors: sc.State()}
+	for _, b := range r.Bench {
+		ps.Benchmarks = append(ps.Benchmarks, EncodeBench(b))
+	}
+	return ps
+}
+
 // MergePartials recombines shard partials into the complete evaluation
 // JSON. order is the full suite's benchmark order (the single-process
 // serving order); every name in it must appear in exactly one partial. The

@@ -10,51 +10,52 @@ import (
 // flightGroup deduplicates concurrent work by key (a minimal singleflight):
 // the first caller for a key becomes the leader and runs fn; callers that
 // arrive while the leader is in flight wait for its result instead of
-// re-running the simulation. Followers stop waiting when their own context
-// is cancelled; the leader's execution is governed by the leader's context.
-type flightGroup struct {
-	faults *faultinject.Injector
+// re-running it. Followers stop waiting when their own context is
+// cancelled; the leader's execution is governed by the leader's context.
+// The service keeps one group for results and one for trace captures.
+type flightGroup[T any] struct {
+	faults *faultinject.Injector // nil: no join-seam faults (the capture group)
 	mu     sync.Mutex
-	calls  map[string]*flightCall
+	calls  map[string]*flightCall[T]
 }
 
-type flightCall struct {
+type flightCall[T any] struct {
 	done chan struct{}
-	resp *Response
+	val  T
 	err  error
 }
 
-func newFlightGroup(faults *faultinject.Injector) *flightGroup {
-	return &flightGroup{faults: faults, calls: make(map[string]*flightCall)}
+func newFlightGroup[T any](faults *faultinject.Injector) *flightGroup[T] {
+	return &flightGroup[T]{faults: faults, calls: make(map[string]*flightCall[T])}
 }
 
 // do runs fn once per in-flight key. It returns the result, and shared=true
 // when this caller waited on another caller's execution.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Response, error)) (resp *Response, shared bool, err error) {
+func (g *flightGroup[T]) do(ctx context.Context, key string, fn func() (T, error)) (val T, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		// A fault at the join seam fails only this follower; the leader's
 		// execution (and every other waiter) is untouched.
 		if err := g.faults.Fire(ctx, faultinject.PointFlightJoin); err != nil {
-			return nil, true, err
+			return val, true, err
 		}
 		select {
 		case <-c.done:
-			return c.resp, true, c.err
+			return c.val, true, c.err
 		case <-ctx.Done():
-			return nil, true, ctx.Err()
+			return val, true, ctx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall[T]{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.resp, c.err = fn()
+	c.val, c.err = fn()
 
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.resp, false, c.err
+	return c.val, false, c.err
 }

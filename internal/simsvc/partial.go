@@ -91,22 +91,12 @@ func (s *Service) runPartial(ctx context.Context, subset []bench.Benchmark) (*Re
 	if err != nil {
 		return nil, err
 	}
-	master := experiments.NewSuiteCollectors()
-	ps := &experiments.PartialSuite{
-		Functs: experiments.EncodeFuncts(functs, rc),
-	}
-	var insts uint64
-	for i := range outs {
-		ps.Benchmarks = append(ps.Benchmarks, experiments.EncodeBench(outs[i].br))
-		insts += outs[i].br.Insts
-		master.Merge(outs[i].cols)
-	}
-	ps.Collectors = master.State()
+	res := experiments.Fold(rc, functs, outs)
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(elapsed)
 	return &Response{
-		Insts:     insts,
-		Partial:   ps,
+		Insts:     res.Insts(),
+		Partial:   res.Partial(),
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}, nil
 }

@@ -3,8 +3,8 @@
 // that fans (benchmark × model) jobs across a bounded worker pool, caches
 // results in an LRU keyed by (bench, model, granularity), deduplicates
 // concurrent identical requests through a singleflight group, threads
-// request-scoped context cancellation into the trace run loop, and keeps a
-// counters/latency metrics registry. It is the seam future scaling work
+// request-scoped context cancellation into the trace replay loop, and
+// keeps a counters/latency metrics registry. It is the seam future scaling work
 // (sharding, batching, multi-backend) plugs into.
 package simsvc
 
@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/activity"
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
@@ -77,10 +76,8 @@ type Config struct {
 	// DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// TraceCacheMB budgets the in-memory LRU of captured benchmark traces
-	// (the capture-once/replay-many engine, internal/trace). 0 selects
-	// DefaultTraceCacheMB; negative disables capture/replay entirely, so
-	// every request re-interprets (the reference path, bit-identical by
-	// construction and by test).
+	// (the capture-once/replay-many engine, internal/trace) that every
+	// evaluation replays from; a value <= 0 selects DefaultTraceCacheMB.
 	TraceCacheMB int
 	// TraceDir, when set, backs the trace cache with a directory of
 	// SIGCAP02 capture files: newly captured traces are persisted there,
@@ -89,11 +86,10 @@ type Config struct {
 	// or freshly sharded services start warm from each other's captures.
 	// Loads are mapped read-only and replayed by streaming frames, so a
 	// warm start costs the footer index (not a full decode) and co-located
-	// shards share the file pages through the OS page cache. Ignored when
-	// the trace cache is disabled. All directory I/O is best-effort: a
-	// missing, corrupt, or unwritable file degrades to the in-memory path,
-	// and a file that fails to load or replay is replaced by the next
-	// capture of its benchmark.
+	// shards share the file pages through the OS page cache. All directory
+	// I/O is best-effort: a missing, corrupt, or unwritable file degrades
+	// to the in-memory path, and a file that fails to load or replay is
+	// replaced by the next capture of its benchmark.
 	TraceDir string
 	// Faults arms deterministic fault injection at the service's seams
 	// (nil in production: every hook is then a zero-cost no-op).
@@ -125,11 +121,11 @@ type Service struct {
 	installToken string
 	pool         *pool
 	cache        *lruCache
-	traces       *traceCache // nil when capture/replay is disabled
-	traceDir     string      // capture spill directory ("" = in-memory only)
-	staleSpills  sync.Map    // bench name -> true: its trace-dir file is unusable
-	tflight      *captureFlight
-	flight       *flightGroup
+	traces       *traceCache
+	traceDir     string   // capture spill directory ("" = in-memory only)
+	staleSpills  sync.Map // bench name -> true: its trace-dir file is unusable
+	tflight      *flightGroup[*traceEntry]
+	flight       *flightGroup[*Response]
 	breaker      *breaker
 	faults       *faultinject.Injector
 	metrics      Metrics
@@ -182,16 +178,14 @@ func New(cfg Config) *Service {
 		start:        time.Now(),
 	}
 	s.pool = newPool(cfg.Workers, cfg.MaxQueued, &s.metrics, cfg.Faults)
-	if cfg.TraceCacheMB >= 0 {
-		mb := cfg.TraceCacheMB
-		if mb == 0 {
-			mb = DefaultTraceCacheMB
-		}
-		s.traces = newTraceCache(int64(mb)<<20, &s.metrics)
-		s.traceDir = cfg.TraceDir
-		s.tflight = newCaptureFlight()
+	if cfg.TraceCacheMB <= 0 {
+		cfg.TraceCacheMB = DefaultTraceCacheMB
 	}
-	s.flight = newFlightGroup(cfg.Faults)
+	s.traces = newTraceCache(int64(cfg.TraceCacheMB)<<20, &s.metrics)
+	s.traceDir = cfg.TraceDir
+	// Capture joins carry no fault seam: PointFlightJoin targets results.
+	s.tflight = newFlightGroup[*traceEntry](nil)
+	s.flight = newFlightGroup[*Response](cfg.Faults)
 	s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, &s.metrics)
 	for _, b := range cfg.Benchmarks {
 		s.byName[b.Name] = b
@@ -303,7 +297,7 @@ type Request struct {
 	// Bench names the benchmark (see Service.Benchmarks).
 	Bench string `json:"bench"`
 	// Model names the pipeline model; empty runs the full per-benchmark
-	// evaluation (every model and collector, experiments.RunBenchCtx).
+	// evaluation (every model and collector, experiments.RunBenchReplay).
 	Model string `json:"model,omitempty"`
 	// Gran is the activity-collector granularity: 1 = byte (default),
 	// 2 = halfword. Ignored (both collected) for full evaluations.
@@ -521,8 +515,8 @@ func countsAsFailure(err error) bool {
 		!errors.Is(err, ErrOverloaded)
 }
 
-// execute performs the actual trace run for req on the calling (worker)
-// goroutine.
+// execute evaluates req on the calling (worker) goroutine by replaying
+// the benchmark's capture (see withTrace).
 func (s *Service) execute(ctx context.Context, req Request) (*Response, error) {
 	if err := s.faults.Fire(ctx, faultinject.PointTraceRunStart); err != nil {
 		return nil, err
@@ -546,58 +540,16 @@ func (s *Service) execute(ctx context.Context, req Request) (*Response, error) {
 	s.metrics.executions.Add(1)
 	start := time.Now()
 
-	if s.tracesEnabled() {
-		resp, err := s.executeReplay(ctx, req, rc, b)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		s.metrics.observeLatency(elapsed)
-		resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		return resp, nil
-	}
-
-	if req.Model == "" {
-		br, err := experiments.RunBenchCtx(ctx, b, rc, nil)
-		if err != nil {
-			return nil, err
-		}
-		full := experiments.EncodeBench(br)
-		elapsed := time.Since(start)
-		s.metrics.observeLatency(elapsed)
-		return &Response{
-			Bench:     b.Name,
-			Insts:     br.Insts,
-			Full:      &full,
-			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		}, nil
-	}
-
-	c, err := b.NewCPU()
+	var resp *Response
+	err = s.withTrace(ctx, b, func(e *traceEntry) (err error) {
+		resp, err = s.replayOnce(ctx, req, rc, b, e)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	m := pipeline.New(req.Model)
-	col := activity.NewCollector(req.Gran, rc, c.Mem)
-	if err := trace.RunOnCtx(ctx, c, b, rc, m, col); err != nil {
-		return nil, err
-	}
-	r := m.Result()
-	stalls := make(map[string]uint64, len(r.Stalls))
-	for k, v := range r.Stalls {
-		stalls[string(k)] = v
-	}
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(elapsed)
-	return &Response{
-		Bench:       b.Name,
-		Model:       req.Model,
-		Granularity: req.Gran,
-		Insts:       r.Insts,
-		Cycles:      r.Cycles,
-		CPI:         r.CPI(),
-		Stalls:      stalls,
-		Activity:    experiments.SavingMap(col.Counts()),
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-	}, nil
+	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	return resp, nil
 }

@@ -94,24 +94,16 @@ func (s *Service) SuiteOf(ctx context.Context, names []string) (*Response, error
 	return serveCopy(resp, false), nil
 }
 
-// benchOut is one benchmark's share of a (full or partial) suite
-// evaluation: its encoded result and its private suite-level collectors,
-// merged in suite order afterwards.
-type benchOut struct {
-	br   experiments.BenchResult
-	cols *experiments.SuiteCollectors
-}
-
 // evalBenches fans the per-benchmark full evaluation across the worker
 // pool — one job per benchmark, each with its own SuiteCollectors, under
 // the breaker and transient-retry policy — and returns the outputs in
 // benches order. It is the shared unit under both the single-process suite
 // (runSuite) and the cluster's scattered partial evaluation (runPartial).
-func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []bench.Benchmark) ([]benchOut, error) {
+func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []bench.Benchmark) ([]experiments.BenchOut, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	outs := make([]benchOut, len(benches))
+	outs := make([]experiments.BenchOut, len(benches))
 	errs := make([]error, len(benches))
 	var wg sync.WaitGroup
 	for i, b := range benches {
@@ -140,32 +132,19 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 						}
 					}
 					s.metrics.executions.Add(1)
-					var (
-						br       experiments.BenchResult
-						cols     *experiments.SuiteCollectors
-						benchErr error
-					)
-					if s.tracesEnabled() {
-						// Replay the shared capture (one interpreter run per
-						// benchmark, whoever asked first); bit-identical to
-						// the live path by construction and by test. A retry
-						// (see withTrace) starts from fresh collectors, since
-						// a replay that failed mid-trace has fed them part
-						// of it.
-						benchErr = s.withTrace(ctx, b, func(e *traceEntry) (err error) {
-							cols = experiments.NewSuiteCollectors()
-							br, err = experiments.RunBenchReplay(ctx, e.rep, rc, cols)
-							return err
-						})
-					} else {
-						cols = experiments.NewSuiteCollectors()
-						br, benchErr = experiments.RunBenchCtx(ctx, b, rc, cols)
+					// Replay the shared capture (one interpreter run per
+					// benchmark, whoever asked first). A retry (see
+					// withTrace) starts from fresh collectors, since a
+					// replay that failed mid-trace has fed them part of it.
+					var out experiments.BenchOut
+					runErr = s.withTrace(ctx, b, func(e *traceEntry) (err error) {
+						out.Cols = experiments.NewSuiteCollectors()
+						out.Result, err = experiments.RunBenchReplay(ctx, e.rep, rc, out.Cols)
+						return err
+					})
+					if runErr == nil {
+						outs[i] = out
 					}
-					if benchErr != nil {
-						runErr = benchErr
-						return
-					}
-					outs[i] = benchOut{br: br, cols: cols}
 				})
 				if poolErr != nil {
 					return poolErr
@@ -214,27 +193,11 @@ func (s *Service) runSuite(ctx context.Context, benches []bench.Benchmark) (*Res
 		return nil, err
 	}
 
-	master := experiments.NewSuiteCollectors()
-	res := &experiments.Results{
-		Recoder:    rc,
-		Functs:     functs,
-		Patterns:   master.Patterns,
-		Fetch:      master.Fetch,
-		Partitions: master.Partitions,
-		Width64:    master.Width64,
-		Frontend:   master.Frontend,
-		BM:         master.BM,
-	}
-	var insts uint64
-	for i := range outs {
-		res.Bench = append(res.Bench, outs[i].br)
-		insts += outs[i].br.Insts
-		master.Merge(outs[i].cols)
-	}
+	res := experiments.Fold(rc, functs, outs)
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(elapsed)
 	return &Response{
-		Insts:     insts,
+		Insts:     res.Insts(),
 		Suite:     res.Encode(),
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}, nil

@@ -229,75 +229,15 @@ func (c *traceCache) mappedLen() int {
 	return n
 }
 
-// captureFlight deduplicates concurrent captures of the same benchmark: the
-// first requester interprets, everyone else waits for its capture. Shaped
-// like flightGroup but carrying traceEntry results.
-type captureFlight struct {
-	mu    sync.Mutex
-	calls map[string]*captureCall
-}
-
-type captureCall struct {
-	done  chan struct{}
-	entry *traceEntry
-	err   error
-}
-
-func newCaptureFlight() *captureFlight {
-	return &captureFlight{calls: make(map[string]*captureCall)}
-}
-
-func (g *captureFlight) do(ctx context.Context, key string, fn func() (*traceEntry, error)) (entry *traceEntry, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.entry, true, c.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	c := &captureCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.entry, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.entry, false, c.err
-}
-
-// tracesEnabled reports whether the capture/replay path is on.
-func (s *Service) tracesEnabled() bool { return s.traces != nil }
-
-// TraceCacheLen returns the number of cached captures (0 when disabled).
-func (s *Service) TraceCacheLen() int {
-	if s.traces == nil {
-		return 0
-	}
-	return s.traces.len()
-}
+// TraceCacheLen returns the number of cached captures.
+func (s *Service) TraceCacheLen() int { return s.traces.len() }
 
 // TraceCacheBytes returns the cached captures' accounted bytes.
-func (s *Service) TraceCacheBytes() int64 {
-	if s.traces == nil {
-		return 0
-	}
-	return s.traces.bytesUsed()
-}
+func (s *Service) TraceCacheBytes() int64 { return s.traces.bytesUsed() }
 
 // TraceMappedEntries returns how many cached captures are on the mapped
 // (streaming SIGCAP02) residency tier rather than fully decoded.
-func (s *Service) TraceMappedEntries() int {
-	if s.traces == nil {
-		return 0
-	}
-	return s.traces.mappedLen()
-}
+func (s *Service) TraceMappedEntries() int { return s.traces.mappedLen() }
 
 // captureFor returns b's captured trace, from the trace cache when
 // possible; concurrent misses for the same benchmark share one interpreter
@@ -406,9 +346,6 @@ func (s *Service) spillEvicted(evicted []*traceCacheEntry) {
 // its capture's memos (each new recoder profile adds a per-slot fetch-size
 // table), evicting and demoting if the growth breaks the budget.
 func (s *Service) traceRefresh(key string) {
-	if s.traces == nil {
-		return
-	}
 	s.spillEvicted(s.traces.refresh(key))
 }
 
@@ -471,19 +408,9 @@ func (s *Service) dropCorrupt(key string, e *traceEntry) {
 	s.staleSpills.Store(key, true)
 }
 
-// executeReplay is the capture-backed twin of the live half of execute: it
-// resolves the benchmark's capture (sharing it across concurrent requests
-// and models) and replays it instead of re-interpreting. Responses are
-// bit-identical to the live path regardless of residency tier.
-func (s *Service) executeReplay(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
-	var resp *Response
-	err := s.withTrace(ctx, b, func(e *traceEntry) (err error) {
-		resp, err = s.replayOnce(ctx, req, rc, b, e)
-		return err
-	})
-	return resp, err
-}
-
+// replayOnce evaluates req on one resolved capture e. Responses are
+// bit-identical to the live interpreter, the reference the tests compare
+// against, regardless of residency tier.
 func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark, e *traceEntry) (*Response, error) {
 	if req.Model == "" {
 		br, err := experiments.RunBenchReplay(ctx, e.rep, rc, nil)

@@ -176,30 +176,21 @@ func TestCaptureSingleflightDedup(t *testing.T) {
 	}
 }
 
-// The acceptance criterion: suite output must be byte-identical with the
-// trace cache enabled (capture/replay) versus disabled (live reference
-// path).
+// The acceptance criterion: the service's suite, replayed from captures,
+// must be byte-identical to the live-interpreter evaluation
+// (experiments.RunSuiteLive) of the same benchmarks.
 func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	benches := []string{"dijkstra", "g711dec", "rawdaudio"}
 	replaySvc := testService(t, Config{Workers: 4}, benches...)
-	liveSvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
-	if !replaySvc.tracesEnabled() || liveSvc.tracesEnabled() {
-		t.Fatal("trace-cache enablement wiring is wrong")
-	}
-	ctx := context.Background()
-
-	replayResp, err := replaySvc.Suite(ctx)
+	replayResp, err := replaySvc.Suite(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveResp, err := liveSvc.Suite(ctx)
-	if err != nil {
-		t.Fatal(err)
+	liveJSON, liveInsts := liveSuiteJSON(t, benches...)
+	if replayResp.Insts != liveInsts {
+		t.Fatalf("insts: replay %d vs live %d", replayResp.Insts, liveInsts)
 	}
-	if replayResp.Insts != liveResp.Insts {
-		t.Fatalf("insts: replay %d vs live %d", replayResp.Insts, liveResp.Insts)
-	}
-	replayJSON, liveJSON := mustJSON(t, replayResp.Suite), mustJSON(t, liveResp.Suite)
+	replayJSON := mustJSON(t, replayResp.Suite)
 	if replayJSON != liveJSON {
 		t.Fatalf("suite JSON differs between replay and live paths:\nreplay: %.400s\nlive:   %.400s", replayJSON, liveJSON)
 	}
@@ -208,13 +199,14 @@ func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	}
 }
 
-// Per-job sweep responses must also be byte-identical between the replay and
-// live paths, at both granularities.
+// Per-job sweep responses must also be byte-identical to the live
+// interpreter's results (experiments.RunBenchCtx), at both granularities.
 func TestSweepByteIdenticalReplayVsLive(t *testing.T) {
 	benches := []string{"dijkstra", "g711dec"}
 	models := []string{pipeline.NameBaseline32, pipeline.NameByteSerial, pipeline.NameParallelCompressed}
 	ctx := context.Background()
 
+	live := liveResults(t, benches...)
 	collect := func(s *Service, gran int) map[string]string {
 		t.Helper()
 		out := make(map[string]string)
@@ -233,15 +225,17 @@ func TestSweepByteIdenticalReplayVsLive(t *testing.T) {
 
 	for _, gran := range []int{1, 2} {
 		replaySvc := testService(t, Config{Workers: 4}, benches...)
-		liveSvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
 		replayJobs := collect(replaySvc, gran)
-		liveJobs := collect(liveSvc, gran)
 		if len(replayJobs) != len(benches)*len(models) {
 			t.Fatalf("gran %d: %d jobs, want %d", gran, len(replayJobs), len(benches)*len(models))
 		}
-		for k, rj := range replayJobs {
-			if lj, ok := liveJobs[k]; !ok || lj != rj {
-				t.Fatalf("gran %d, job %s differs:\nreplay: %s\nlive:   %s", gran, k, rj, lj)
+		for _, b := range benches {
+			for _, m := range models {
+				k := b + "|" + m
+				lj := responseJSON(t, liveJob(live[b], Request{Bench: b, Model: m, Gran: gran}))
+				if rj := replayJobs[k]; rj != lj {
+					t.Fatalf("gran %d, job %s differs:\nreplay: %s\nlive:   %s", gran, k, rj, lj)
+				}
 			}
 		}
 		// One capture per benchmark serves every model of the sweep.
@@ -260,14 +254,9 @@ func TestTraceCacheChaosDegradesGracefully(t *testing.T) {
 		faultinject.Rule{Point: faultinject.PointCachePut, Kind: faultinject.KindError, Prob: 1},
 	)
 	s := chaosService(t, Config{Workers: 2}, inj, "g711dec")
-	clean := testService(t, Config{Workers: 2, TraceCacheMB: -1})
 	ctx := context.Background()
 
-	req := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
-	want, err := clean.Simulate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := liveJob(liveResults(t, "g711dec")["g711dec"], Request{Bench: "g711dec", Model: pipeline.NameByteSerial})
 	for i := 0; i < 3; i++ {
 		got, err := s.Simulate(ctx, Request{Bench: "g711dec", Model: pipeline.NameByteSerial, Gran: 0})
 		if err != nil {

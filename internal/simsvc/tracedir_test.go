@@ -3,10 +3,12 @@ package simsvc
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/icomp"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -41,6 +43,71 @@ func responseJSON(t *testing.T, r *Response) string {
 	return mustJSON(t, &c)
 }
 
+// liveResults runs each named benchmark through the live interpreter
+// (experiments.RunBenchCtx: every model and collector), under the recoder a
+// service serving exactly these benchmarks profiles. It is the reference
+// the replaying service is compared against.
+func liveResults(t *testing.T, names ...string) map[string]experiments.BenchResult {
+	t.Helper()
+	var suite []bench.Benchmark
+	for _, n := range names {
+		suite = append(suite, mustTestBench(t, n))
+	}
+	rc, _, err := trace.SuiteRecoder(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]experiments.BenchResult, len(suite))
+	for _, b := range suite {
+		br, err := experiments.RunBenchCtx(context.Background(), b, rc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[b.Name] = br
+	}
+	return out
+}
+
+// liveJob is the Response a per-model job must produce, read off a live
+// full evaluation of its benchmark.
+func liveJob(br experiments.BenchResult, req Request) *Response {
+	gran, act := 1, br.ByteAct
+	if req.Gran == 2 {
+		gran, act = 2, br.HalfAct
+	}
+	stalls := make(map[string]uint64)
+	for k, v := range br.Stalls[req.Model] {
+		stalls[string(k)] = v
+	}
+	cpi := br.CPI[req.Model]
+	return &Response{
+		Bench:       br.Name,
+		Model:       req.Model,
+		Granularity: gran,
+		Insts:       br.Insts,
+		// CPI is cycles/insts, so the product rounds back to the cycles.
+		Cycles:   uint64(math.Round(cpi * float64(br.Insts))),
+		CPI:      cpi,
+		Stalls:   stalls,
+		Activity: experiments.SavingMap(act),
+	}
+}
+
+// liveSuiteJSON is the live reference for a service's suite over exactly
+// these benchmarks: the encoded document and its instruction total.
+func liveSuiteJSON(t *testing.T, names ...string) (string, uint64) {
+	t.Helper()
+	var suite []bench.Benchmark
+	for _, n := range names {
+		suite = append(suite, mustTestBench(t, n))
+	}
+	res, err := experiments.RunSuiteLive(context.Background(), suite, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, res.Encode()), res.Insts()
+}
+
 // churnRecoders builds n recoders with distinct profiles (rotations of the
 // default top-funct list), simulating a fleet of requests that each arrive
 // with their own recoding.
@@ -68,12 +135,23 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Measure one memo's growth first, so the budget can fit the next
+	// memo but not the two after it.
+	rcs := churnRecoders(4)
+	unreplayed := int64(cp.SizeBytes())
+	if err := cp.ReplayBlocks(ctx, rcs[0], pipeline.NewBaseline32()); err != nil {
+		t.Fatal(err)
+	}
 	e := &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
 	base := e.bytes
+	perMemo := base - unreplayed
+	if perMemo <= 0 {
+		t.Fatalf("capture did not grow under a new recoder profile: %d -> %d bytes", unreplayed, base)
+	}
 
 	var m Metrics
-	// Budget fits the entry plus a little memo growth, not a lot of it.
-	c := newTraceCache(base+1024, &m)
+	budget := base + perMemo + perMemo/2
+	c := newTraceCache(budget, &m)
 	if ev, _ := c.add("dijkstra", e); len(ev) != 0 {
 		t.Fatalf("admission evicted %d entries", len(ev))
 	}
@@ -81,18 +159,14 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 		t.Fatalf("accounted %d bytes, want %d", c.bytesUsed(), base)
 	}
 
-	// One extra profile: the capture grows but still fits. refresh must
+	// One more profile: the capture grows but still fits. refresh must
 	// re-account without evicting.
-	rcs := churnRecoders(4)
-	if err := cp.ReplayBlocks(ctx, rcs[0], pipeline.NewBaseline32()); err != nil {
-		t.Fatal(err)
-	}
 	if err := cp.ReplayBlocks(ctx, rcs[1], pipeline.NewBaseline32()); err != nil {
 		t.Fatal(err)
 	}
 	grown := int64(cp.SizeBytes())
-	if grown <= base {
-		t.Fatalf("capture did not grow under churn: %d <= %d", grown, base)
+	if grown != base+perMemo {
+		t.Fatalf("second profile grew the capture to %d bytes, want %d", grown, base+perMemo)
 	}
 	if ev := c.refresh("dijkstra"); len(ev) != 0 {
 		t.Fatalf("in-budget refresh evicted %d entries", len(ev))
@@ -102,15 +176,15 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 			c.bytesUsed(), m.traceCacheBytes.Load(), grown)
 	}
 
-	// More profiles: the memo (bounded at maxIFBMemos inside the capture)
-	// now exceeds the budget headroom, so refresh must evict the entry.
+	// Two more profiles (the memo holds up to maxIFBMemos) break the
+	// budget, so refresh must evict the entry.
 	for _, rc := range rcs[2:] {
 		if err := cp.ReplayBlocks(ctx, rc, pipeline.NewBaseline32()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if int64(cp.SizeBytes()) <= base+1024 {
-		t.Skip("memo growth under budget headroom; churn too cheap to force eviction")
+	if size := int64(cp.SizeBytes()); size <= budget {
+		t.Fatalf("four profiles grew the capture to %d bytes, not past the %d-byte budget", size, budget)
 	}
 	ev := c.refresh("dijkstra")
 	if len(ev) != 1 || ev[0].key != "dijkstra" {
@@ -135,7 +209,6 @@ func TestTraceDirSpillAndReload(t *testing.T) {
 	// 2 MB holds one ~1.4 MB capture at a time, so the two benchmarks
 	// evict each other.
 	s := testService(t, Config{Workers: 2, TraceCacheMB: 2, TraceDir: dir}, "dijkstra", "g711dec")
-	live := testService(t, Config{Workers: 2, TraceCacheMB: -1}, "dijkstra", "g711dec")
 
 	req1 := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial}
 	req2 := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
@@ -173,10 +246,7 @@ func TestTraceDirSpillAndReload(t *testing.T) {
 	}
 
 	// The reloaded capture must serve byte-identical responses.
-	want, err := live.Simulate(ctx, req1b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := liveJob(liveResults(t, "dijkstra", "g711dec")["dijkstra"], req1b)
 	if responseJSON(t, got) != responseJSON(t, want) {
 		t.Fatalf("reloaded capture diverges from live path:\nreplay: %s\nlive:   %s", responseJSON(t, got), responseJSON(t, want))
 	}
@@ -279,7 +349,6 @@ func TestTraceDirTruncatedMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := testService(t, Config{Workers: 2, TraceCacheMB: -1}, "dijkstra")
 	warmReq := Request{Bench: "dijkstra", Model: pipeline.NameBaseline32}
 	req := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial}
 
@@ -304,10 +373,7 @@ func TestTraceDirTruncatedMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simulate after truncation: %v", err)
 	}
-	want, err := live.Simulate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := liveJob(liveResults(t, "dijkstra")["dijkstra"], req)
 	if responseJSON(t, got) != responseJSON(t, want) {
 		t.Fatalf("simulate after truncation diverges:\ngot:  %s\nwant: %s", responseJSON(t, got), responseJSON(t, want))
 	}
@@ -320,11 +386,7 @@ func TestTraceDirTruncatedMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("suite after truncation: %v", err)
 	}
-	liveSuite, err := live.Suite(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mustJSON(t, suite.Suite) != mustJSON(t, liveSuite.Suite) {
+	if liveJSON, _ := liveSuiteJSON(t, "dijkstra"); mustJSON(t, suite.Suite) != liveJSON {
 		t.Fatal("suite after truncation diverges from the live path")
 	}
 
